@@ -2,9 +2,9 @@
 // price computation, Algorithm 1 packing, the config differ, the throughput
 // table, the B&B solver on small instances), plus an engine-throughput
 // scale sweep: the 2,000-job Alibaba-like trace (No-Packing + Eva) and
-// 10k/50k/100k-job superposition-scaled traces (Eva), reporting events/sec,
-// rounds invoked vs. coalesced, per-round decision latency, peak RSS and
-// allocation counts. With EVA_BENCH_JSON=<path> the sweep (best wall time
+// 10k/50k/100k-job superposition-scaled traces (Eva), reporting wall time
+// per replay, events (events/sec for information), rounds invoked vs.
+// coalesced, per-round decision latency, peak RSS and allocation counts. With EVA_BENCH_JSON=<path> the sweep (best wall time
 // of the deterministic repetitions per case) is written as machine-readable
 // JSON (the committed BENCH_scheduler_perf.json tracks it across commits).
 // EVA_BENCH_SCALE (a percentage) scales every case's job count;

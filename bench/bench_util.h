@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -15,6 +17,7 @@
 
 #include "src/common/format.h"
 #include "src/common/rng.h"
+#include "src/obs/json_util.h"
 #include "src/obs/publish.h"
 #include "src/obs/registry.h"
 #include "src/sched/types.h"
@@ -88,11 +91,50 @@ inline std::string TelemetryJson(const SimulationMetrics& metrics) {
   return registry.ToJson();
 }
 
+// The machine a bench artifact was measured on, as a JSON object: nproc,
+// CPU model, compiler and build type. Wall-time rows are only comparable
+// between matching fingerprints; check_bench_regression.py warns when the
+// baseline's differs from the current run's.
+inline std::string MachineFingerprintJson() {
+  std::string cpu_model = "unknown";
+  if (std::FILE* cpuinfo = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), cpuinfo) != nullptr) {
+      if (std::strncmp(line, "model name", 10) == 0) {
+        if (const char* colon = std::strchr(line, ':')) {
+          cpu_model = colon + 1;
+          cpu_model.erase(0, cpu_model.find_first_not_of(" \t"));
+          cpu_model.erase(cpu_model.find_last_not_of(" \t\n") + 1);
+        }
+        break;
+      }
+    }
+    std::fclose(cpuinfo);
+  }
+#if defined(EVA_BENCH_BUILD_TYPE) && defined(EVA_BENCH_COMPILER)
+  const std::string build_type = EVA_BENCH_BUILD_TYPE;
+  const std::string compiler = EVA_BENCH_COMPILER;
+#else
+  const std::string build_type = "unknown";
+  const std::string compiler = "unknown";
+#endif
+  std::string json = "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency());
+  json += ", \"cpu_model\": ";
+  obs_internal::AppendJsonString(&json, cpu_model);
+  json += ", \"compiler\": ";
+  obs_internal::AppendJsonString(&json, compiler);
+  json += ", \"build_type\": ";
+  obs_internal::AppendJsonString(&json, build_type.empty() ? "none" : build_type);
+  json += "}";
+  return json;
+}
+
 // Machine-readable results, opted into with EVA_BENCH_JSON=<path>: each
-// harness that supports it writes {"bench": ..., "cases": [...]} with
-// wall-time and throughput per case, so the repo's perf trajectory can be
-// recorded across commits (see BENCH_scheduler_perf.json). Every row
-// carries "schema_version" (kBenchSchemaVersion); bump it when a row's
+// harness that supports it writes {"bench": ..., "machine": ...,
+// "cases": [...]} with wall-time and throughput per case, so the repo's
+// perf trajectory can be recorded across commits (see
+// BENCH_scheduler_perf.json). "machine" is MachineFingerprintJson(). Every
+// row carries "schema_version" (kBenchSchemaVersion); bump it when a row's
 // layout changes incompatibly — check_bench_regression.py validates it.
 class BenchJsonWriter {
  public:
@@ -203,7 +245,8 @@ class BenchJsonWriter {
       std::fprintf(stderr, "EVA_BENCH_JSON: cannot write %s\n", path);
       return false;
     }
-    std::fprintf(file, "{\n  \"bench\": \"%s\",\n  \"cases\": [\n", bench_name);
+    std::fprintf(file, "{\n  \"bench\": \"%s\",\n  \"machine\": %s,\n  \"cases\": [\n",
+                 bench_name, MachineFingerprintJson().c_str());
     for (std::size_t i = 0; i < cases_.size(); ++i) {
       std::fprintf(file, "%s%s\n", cases_[i].c_str(), i + 1 < cases_.size() ? "," : "");
     }

@@ -5,17 +5,34 @@ Usage:
     check_bench_regression.py <baseline.json> <current.json> <case-name> [<case-name>...]
     check_bench_regression.py --selftest
 
-Two gates per named engine case:
+Gates per named engine case, all on the same fixed trace (the row's job
+count must match the baseline's — wall time is only comparable on the
+same workload, so a mismatch fails):
 
-  * `events_per_sec` — fails when the current value falls more than the
-    tolerance below the baseline's.
-  * allocations per event (`allocs / events`) — fails when the current
-    value rises more than the tolerance above the baseline's. Allocation
-    counts come from the counting allocator in bench_alloc_hooks.cc and
-    are deterministic modulo allocator-internal noise, so a >20% jump is a
-    real leak of per-event work back onto the heap (the arena/SoA refactor
+  * `wall_seconds` — seconds per replay of the case's trace (jobs/sec is
+    its reciprocal times `jobs`); fails when the current value rises more
+    than the tolerance above the baseline's.
+  * `sched_us_per_round` — wall time inside the scheduler per round; fails
+    when it rises more than the tolerance above the baseline's, or when
+    the current row drops a field the baseline has. Skipped with a note
+    when the baseline row has no such field (federation sweep rows).
+  * allocations per job (`allocs / jobs`) — fails when the current value
+    rises more than the tolerance above the baseline's. Allocation counts
+    come from the counting allocator in bench_alloc_hooks.cc and are
+    deterministic modulo allocator-internal noise, so a >20% jump is a
+    real leak of per-job work back onto the heap (the arena/SoA refactor
     is what the gate protects). Skipped with a note when either file
-    predates the `allocs` field.
+    lacks the `allocs` field.
+
+`events_per_sec` is printed beside them for information only and never
+gated: engine events include no-op completion checks, so a rate of events
+rewards work that does nothing, and a per-event allocation ratio falls
+when no-op events multiply. Hence wall time per replay and allocs per job.
+
+Each bench JSON file carries a top-level `machine` fingerprint (nproc,
+CPU model, compiler, build type). When the baseline's differs from the
+current run's, the check prints a warning: wall-time gates across
+different machines measure the machines, not the change.
 
 Cases named `quality_*` are approximation-quality rows (the incremental
 fast path replayed against the exact mode on the same trace) and are gated
@@ -68,9 +85,9 @@ import os
 import sys
 
 # fed100_scale is the 100-tenant federation sweep point, in its observation
-# period: the events/sec there folds in thread-pool scheduling noise on
-# shared CI runners, so it reports against BENCH_federation.json but cannot
-# fail the job yet.
+# period: its wall time folds in thread-pool scheduling noise on shared CI
+# runners, so it reports against BENCH_federation.json but cannot fail the
+# job yet.
 WARN_ONLY = {"fed100_scale"}
 
 # Bench-row protocol version stamped by BenchJsonWriter::kSchemaVersion.
@@ -82,19 +99,50 @@ EXPECTED_SCHEMA_VERSION = 2
 TELEMETRY_GROUPS = ("counters", "gauges", "histograms", "series")
 
 
-def load_cases(path):
+# The machine fingerprint keys every bench JSON file records.
+FINGERPRINT_KEYS = ("nproc", "cpu_model", "compiler", "build_type")
+
+
+def load_payload(path):
+    """(cases by name, machine fingerprint or None) of one bench JSON file."""
     with open(path) as handle:
         payload = json.load(handle)
-    return {case["name"]: case for case in payload.get("cases", [])}
+    cases = {case["name"]: case for case in payload.get("cases", [])}
+    return cases, payload.get("machine")
 
 
-def allocs_per_event(case):
-    """allocs/event for a case, or None when the row predates the field."""
+def check_fingerprint(base_machine, cur_machine):
+    """Warns when the two runs' machines differ. Never fails the check."""
+    if not base_machine or not cur_machine:
+        missing = "baseline" if not base_machine else "current run"
+        print(f"WARNING: {missing} carries no machine fingerprint; "
+              "wall-time gates assume the same machine")
+        return
+    differing = [key for key in FINGERPRINT_KEYS
+                 if base_machine.get(key) != cur_machine.get(key)]
+    for key in differing:
+        print(f"WARNING: machine {key} differs: baseline "
+              f"{base_machine.get(key)!r} vs current {cur_machine.get(key)!r}")
+    if not differing:
+        print("OK: baseline and current run share a machine fingerprint")
+
+
+def workload_jobs(case):
+    """Jobs replayed by a row: `jobs`, or tenants x jobs_per_tenant."""
+    if "jobs" in case:
+        return case["jobs"]
+    if "tenants" in case and "jobs_per_tenant" in case:
+        return case["tenants"] * case["jobs_per_tenant"]
+    return None
+
+
+def allocs_per_job(case):
+    """allocs/job for a case, or None when the row lacks the field."""
     allocs = case.get("allocs")
-    events = case.get("events")
-    if allocs is None or not events:
+    jobs = workload_jobs(case)
+    if allocs is None or not jobs:
         return None
-    return allocs / events
+    return allocs / jobs
 
 
 def telemetry_schema_errors(telemetry):
@@ -157,39 +205,65 @@ def check_current_schema(current):
     return failed
 
 
-def check_perf_case(name, base, cur, tolerance, warn_only):
-    """Throughput + allocs/event gates for one engine case. Returns failed."""
-    failed = False
-
-    # Gate 1: throughput must not drop below (1 - tolerance) x baseline.
-    base_eps = base["events_per_sec"]
-    cur_eps = cur["events_per_sec"]
-    ratio = cur_eps / base_eps if base_eps > 0 else float("inf")
-    below = ratio < 1.0 - tolerance
-    verdict = ("WARN" if warn_only else "FAIL") if below else "OK"
-    print(
-        f"{verdict}: {name}: events/sec {cur_eps:,.0f} vs baseline {base_eps:,.0f} "
-        f"(ratio {ratio:.3f}, floor {1.0 - tolerance:.2f})"
-    )
-    failed = failed or verdict == "FAIL"
-
-    # Gate 2: allocs/event must not rise above (1 + tolerance) x baseline.
-    base_ape = allocs_per_event(base)
-    cur_ape = allocs_per_event(cur)
-    if base_ape is None or cur_ape is None:
-        print(f"NOTE: {name}: allocs/event not gated (field missing from a file)")
-        return failed
-    if base_ape > 0:
-        ape_ratio = cur_ape / base_ape
+def ceiling_verdict(name, label, cur, base, tolerance, warn_only, fmt):
+    """One lower-is-better gate: cur may not exceed (1 + tolerance) x base."""
+    if base > 0:
+        ratio = cur / base
     else:
-        ape_ratio = float("inf") if cur_ape > 0 else 1.0
-    above = ape_ratio > 1.0 + tolerance
+        ratio = float("inf") if cur > 0 else 1.0
+    above = ratio > 1.0 + tolerance
     verdict = ("WARN" if warn_only else "FAIL") if above else "OK"
     print(
-        f"{verdict}: {name}: allocs/event {cur_ape:.4f} vs baseline {base_ape:.4f} "
-        f"(ratio {ape_ratio:.3f}, ceiling {1.0 + tolerance:.2f})"
+        f"{verdict}: {name}: {label} {cur:{fmt}} vs baseline {base:{fmt}} "
+        f"(ratio {ratio:.3f}, ceiling {1.0 + tolerance:.2f})"
     )
-    return failed or verdict == "FAIL"
+    return verdict == "FAIL"
+
+
+def check_perf_case(name, base, cur, tolerance, warn_only):
+    """Wall time, per-round latency and allocs/job gates for one engine case.
+
+    Returns failed.
+    """
+    fail_verdict = "WARN" if warn_only else "FAIL"
+    base_jobs = workload_jobs(base)
+    cur_jobs = workload_jobs(cur)
+    if base_jobs is None or base_jobs != cur_jobs:
+        print(
+            f"{fail_verdict}: {name}: workload differs ({cur_jobs} jobs vs "
+            f"baseline {base_jobs}); wall time compares only on the same trace"
+        )
+        return fail_verdict == "FAIL"
+
+    # Gate 1: seconds per replay of the fixed trace.
+    failed = ceiling_verdict(name, "wall_seconds", cur["wall_seconds"],
+                             base["wall_seconds"], tolerance, warn_only, ".3f")
+    jobs_per_sec = cur_jobs / cur["wall_seconds"] if cur["wall_seconds"] > 0 else 0.0
+    base_eps = base.get("events_per_sec")
+    cur_eps = cur.get("events_per_sec")
+    if base_eps is not None and cur_eps is not None:
+        print(f"INFO: {name}: {jobs_per_sec:,.0f} jobs/sec; events/sec "
+              f"{cur_eps:,.0f} vs baseline {base_eps:,.0f} (not gated)")
+
+    # Gate 2: scheduler wall time per round.
+    if "sched_us_per_round" not in base:
+        print(f"NOTE: {name}: sched_us_per_round not gated (no baseline field)")
+    elif "sched_us_per_round" not in cur:
+        print(f"{fail_verdict}: {name}: sched_us_per_round missing from current run")
+        failed = failed or fail_verdict == "FAIL"
+    else:
+        failed |= ceiling_verdict(name, "sched_us_per_round", cur["sched_us_per_round"],
+                                  base["sched_us_per_round"], tolerance, warn_only,
+                                  ".2f")
+
+    # Gate 3: allocations per job.
+    base_apj = allocs_per_job(base)
+    cur_apj = allocs_per_job(cur)
+    if base_apj is None or cur_apj is None:
+        print(f"NOTE: {name}: allocs/job not gated (field missing from a file)")
+        return failed
+    return ceiling_verdict(name, "allocs/job", cur_apj, base_apj, tolerance,
+                           warn_only, ".2f") or failed
 
 
 def check_quality_case(name, cur, cost_tol, jct_tol, warn_only):
@@ -280,12 +354,22 @@ def selftest():
     good_perf = {
         "name": "c",
         "schema_version": EXPECTED_SCHEMA_VERSION,
-        "events_per_sec": 1000.0,
+        "jobs": 100,
+        "wall_seconds": 1.0,
+        "sched_us_per_round": 10.0,
         "events": 1000,
+        "events_per_sec": 1000.0,
         "allocs": 50,
     }
-    slow_perf = dict(good_perf, events_per_sec=700.0)
-    leaky_perf = dict(good_perf, allocs=500)
+    good_sweep = {
+        "name": "c",
+        "schema_version": EXPECTED_SCHEMA_VERSION,
+        "tenants": 10,
+        "jobs_per_tenant": 4,
+        "wall_seconds": 2.0,
+        "events": 500,
+        "events_per_sec": 250.0,
+    }
     good_quality = {
         "name": "quality_c",
         "schema_version": EXPECTED_SCHEMA_VERSION,
@@ -321,8 +405,28 @@ def selftest():
     scenarios = [
         # (description, baseline case, current case, names, must_fail)
         ("all gates green", good_perf, good_perf, ["c", "quality_c"], False),
-        ("events/sec drop", good_perf, slow_perf, ["c"], True),
-        ("allocs/event jump", good_perf, leaky_perf, ["c"], True),
+        # Fewer events in the same wall time is not a regression.
+        ("events/sec drop alone", good_perf,
+         variant(good_perf, events=20, events_per_sec=20.0), ["c"], False),
+        ("wall time rise", good_perf, variant(good_perf, wall_seconds=1.3),
+         ["c"], True),
+        ("sched us/round rise", good_perf,
+         variant(good_perf, sched_us_per_round=12.5), ["c"], True),
+        ("sched us/round dropped from current", good_perf,
+         variant(good_perf, sched_us_per_round=None), ["c"], True),
+        ("allocs/job jump", good_perf, variant(good_perf, allocs=500), ["c"], True),
+        # allocs/job, not allocs/event: far fewer events must not read as a leak.
+        ("allocs/job flat as events fall", good_perf,
+         variant(good_perf, events=20), ["c"], False),
+        # Same allocs/job and wall time on twice the jobs: only the workload
+        # check can catch it.
+        ("workload differs", good_perf, variant(good_perf, jobs=200, allocs=100),
+         ["c"], True),
+        ("sweep row green", good_sweep, good_sweep, ["c"], False),
+        ("sweep wall time rise", good_sweep,
+         variant(good_sweep, wall_seconds=2.6), ["c"], True),
+        ("sweep workload differs", good_sweep,
+         variant(good_sweep, jobs_per_tenant=2), ["c"], True),
         ("missing current case", good_perf, None, ["c"], True),
         ("cost delta over ceiling", None, variant(good_quality, cost_delta=0.25),
          ["quality_c"], True),
@@ -387,8 +491,9 @@ def main(argv):
     jct_tol = float(os.environ.get("EVA_QUALITY_JCT_TOL", "0.05"))
     goodput_floor = float(os.environ.get("EVA_FAULT_GOODPUT_FLOOR", "0.50"))
 
-    baseline = load_cases(baseline_path)
-    current = load_cases(current_path)
+    baseline, base_machine = load_payload(baseline_path)
+    current, cur_machine = load_payload(current_path)
+    check_fingerprint(base_machine, cur_machine)
     failed = run_checks(baseline, current, names, tolerance, cost_tol, jct_tol,
                         goodput_floor)
     return 1 if failed else 0

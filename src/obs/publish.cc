@@ -1,6 +1,9 @@
 #include "src/obs/publish.h"
 
+#include <string>
+
 #include "src/sched/types.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/federation.h"
 #include "src/sim/metrics.h"
 
@@ -81,6 +84,12 @@ void PublishSimulationMetrics(const SimulationMetrics& metrics,
   registry->SetCounter("sim.scheduling_rounds", metrics.scheduling_rounds);
   registry->SetCounter("sim.rounds_coalesced", metrics.rounds_coalesced);
   registry->SetCounter("sim.events_processed", metrics.events_processed);
+  for (int type = 0; type < kNumSimEventTypes; ++type) {
+    registry->SetCounter(
+        std::string("sim.events.") + SimEventTypeName(static_cast<SimEventType>(type)),
+        metrics.events_by_type[static_cast<std::size_t>(type)]);
+  }
+  registry->SetCounter("sim.events_noop", metrics.events_noop);
   registry->SetCounter("sim.acquisitions_denied", metrics.acquisitions_denied);
   registry->SetCounter("sim.spot_instances_launched",
                        metrics.spot_instances_launched);

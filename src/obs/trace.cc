@@ -64,6 +64,21 @@ std::uint64_t TraceRecorder::TotalRetained() const {
   return total;
 }
 
+std::vector<double> TraceRecorder::SpanTimes(std::uint32_t track,
+                                             const std::string& name) const {
+  std::lock_guard<std::mutex> lock(register_mutex_);
+  std::vector<const Span*> matches;
+  for (const Span& span : tracks_.at(track).ring) {
+    if (span.name != nullptr && name == span.name) matches.push_back(&span);
+  }
+  std::sort(matches.begin(), matches.end(),
+            [](const Span* a, const Span* b) { return a->seq < b->seq; });
+  std::vector<double> times;
+  times.reserve(matches.size());
+  for (const Span* span : matches) times.push_back(span->start_s);
+  return times;
+}
+
 std::string TraceRecorder::ToChromeJson() const {
   std::lock_guard<std::mutex> lock(register_mutex_);
 

@@ -99,6 +99,11 @@ class TraceRecorder {
   // Spans currently retained across all tracks.
   std::uint64_t TotalRetained() const;
 
+  // Exact virtual start times of the retained spans named `name` on
+  // `track`, in emit order. The Chrome export rounds timestamps to
+  // nanoseconds; engine invariants over event times need the exact values.
+  std::vector<double> SpanTimes(std::uint32_t track, const std::string& name) const;
+
   // Serialises all retained spans as Chrome trace_event JSON, merge-sorted
   // by (timestamp, track, per-track sequence) so the bytes are independent
   // of emit interleaving across tracks. Deterministic number formatting

@@ -1,12 +1,46 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace eva {
 
 namespace {
+
 constexpr std::size_t kArity = 4;
+
+struct EventTypeNames {
+  const char* name;
+  const char* span;
+};
+
+// Indexed by SimEventType.
+constexpr EventTypeNames kEventTypeNames[] = {
+    {"arrival", "ev.arrival"},
+    {"round", "ev.round"},
+    {"instance_ready", "ev.instance_ready"},
+    {"checkpoint_done", "ev.checkpoint_done"},
+    {"launch_done", "ev.launch_done"},
+    {"completion_check", "ev.completion_check"},
+    {"spot_check", "ev.spot_check"},
+    {"spot_preempt", "ev.spot_preempt"},
+    {"fault_check", "ev.fault_check"},
+    {"zone_outage", "ev.zone_outage"},
+    {"drain_start", "ev.drain_start"},
+    {"drain_deadline", "ev.drain_deadline"},
+};
+static_assert(std::size(kEventTypeNames) == static_cast<std::size_t>(kNumSimEventTypes),
+              "one name pair per SimEventType");
+
 }  // namespace
+
+const char* SimEventTypeName(SimEventType type) {
+  return kEventTypeNames[static_cast<std::size_t>(type)].name;
+}
+
+const char* SimEventSpanName(SimEventType type) {
+  return kEventTypeNames[static_cast<std::size_t>(type)].span;
+}
 
 void EventQueue::SiftUp(std::size_t index) {
   SimEvent moving = heap_[index];

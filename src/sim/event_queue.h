@@ -42,6 +42,16 @@ enum class SimEventType {
   kDrainDeadline,
 };
 
+inline constexpr int kNumSimEventTypes = static_cast<int>(SimEventType::kDrainDeadline) + 1;
+
+// Stable snake_case name of an event type ("completion_check"): the
+// registry publishes per-type counts as sim.events.<name>.
+const char* SimEventTypeName(SimEventType type);
+
+// The engine-event trace span name ("ev.completion_check"); a string
+// literal, as TraceRecorder interns span names by pointer.
+const char* SimEventSpanName(SimEventType type);
+
 struct SimEvent {
   SimTime time = 0.0;
   std::uint64_t seq = 0;  // FIFO tie-break.
@@ -72,9 +82,11 @@ struct SimEvent {
 //   * a hand-rolled 4-ary min-heap — shallower than std::priority_queue's
 //     binary heap, and its four children share a cache line of SimEvents —
 //     for the general population;
-//   * a one-element front slot holding the current minimum, so the engine's
-//     dominant pattern — push an event earlier than everything outstanding
-//     (the completion-check re-arm), pop it next — never sifts the heap.
+//   * a one-element front slot holding the current minimum, so an event
+//     pushed earlier than everything outstanding and popped next never
+//     sifts the heap — e.g. a newly armed completion check (the simulator
+//     keeps at most one armed check per projection) ahead of the next
+//     round.
 // Every cross-lane decision uses the exact event comparator, a strict total
 // order (time, then arrival rank, then sequence number), so the pop
 // sequence — and therefore every simulation — is identical to a plain

@@ -3,12 +3,14 @@
 #ifndef SRC_SIM_METRICS_H_
 #define SRC_SIM_METRICS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/common/units.h"
 #include "src/sched/types.h"
+#include "src/sim/event_queue.h"
 
 namespace eva {
 
@@ -94,9 +96,14 @@ struct SimulationMetrics {
   // of actual Schedule calls.
   std::int64_t rounds_coalesced = 0;
 
-  // Discrete events processed by the engine; with wall time this gives the
-  // events/sec figure the perf benchmarks track.
+  // Discrete events processed by the engine, in total and per SimEventType
+  // (indexed by the enum value).
   std::int64_t events_processed = 0;
+  std::array<std::int64_t, kNumSimEventTypes> events_by_type{};
+
+  // Completion checks that did no work: superseded checks that popped
+  // without running the handler, and armed checks that found no job done.
+  std::int64_t events_noop = 0;
 
   // --- Cloud provider interactions (all 0 when the provider is disabled,
   // the default: infinite capacity, on-demand only) ---

@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
@@ -31,38 +32,6 @@ CloudProviderOptions MergedProviderOptions(const SimulatorOptions& options) {
     merged.faults = options.faults;
   }
   return merged;
-}
-
-// Span names for the optional per-event tracing; string literals, interned
-// by pointer in the recorder.
-const char* EventSpanName(SimEventType type) {
-  switch (type) {
-    case SimEventType::kArrival:
-      return "ev.arrival";
-    case SimEventType::kRound:
-      return "ev.round";
-    case SimEventType::kInstanceReady:
-      return "ev.instance_ready";
-    case SimEventType::kCheckpointDone:
-      return "ev.checkpoint_done";
-    case SimEventType::kLaunchDone:
-      return "ev.launch_done";
-    case SimEventType::kCompletionCheck:
-      return "ev.completion_check";
-    case SimEventType::kSpotCheck:
-      return "ev.spot_check";
-    case SimEventType::kSpotPreempt:
-      return "ev.spot_preempt";
-    case SimEventType::kFaultCheck:
-      return "ev.fault_check";
-    case SimEventType::kZoneOutage:
-      return "ev.zone_outage";
-    case SimEventType::kDrainStart:
-      return "ev.drain_start";
-    case SimEventType::kDrainDeadline:
-      return "ev.drain_deadline";
-  }
-  return "ev.unknown";
 }
 
 }  // namespace
@@ -148,6 +117,9 @@ class Simulator::Impl {
   // Recomputes dirty job rates and (re)arms the completion check; runs after
   // every event, standing in for the old full-cluster rescan.
   void RecomputeAndArm();
+
+  // Drops a popped completion check from queued_checks_.
+  void RetireQueuedCheck(SimTime time);
 
   // Pops and dispatches exactly one event. Returns false when the run
   // aborted (event beyond max_sim_time_s). Requires !queue_.Empty().
@@ -324,7 +296,12 @@ class Simulator::Impl {
   TaskLifecycle lifecycle_;
 
   std::size_t next_arrival_ = 0;
+  // The armed completion check: the only queued check allowed to run
+  // HandleCompletionCheck. queued_checks_ holds the time of every completion
+  // check still in the queue — the armed one plus superseded ones waiting to
+  // pop — so no projection is ever queued twice.
   SimTime pending_completion_check_ = std::numeric_limits<SimTime>::infinity();
+  std::vector<SimTime> queued_checks_;
   SimTime now_ = 0.0;
   bool round_scheduled_ = false;
   SimTime next_round_time_ = 0.0;
@@ -425,13 +402,31 @@ void Simulator::Impl::Advance(SimTime to) {
 
 void Simulator::Impl::RecomputeAndArm() {
   const SimTime earliest = exec_.RecomputeDirtyRates(now_);
-  // Checks are idempotent (a check that fires early is a no-op and re-arms),
-  // so we only push when the new projection is earlier than what is already
-  // armed — this bounds queue growth without missing a completion.
+  // At most one armed check per projection. A projection is armed only when
+  // it is earlier than the armed one; the entry it supersedes stays queued
+  // and pops as a no-op that still steps the integration (its step boundary
+  // is part of the trajectory). When a superseded entry already sits at the
+  // new projection's time, that entry is re-armed instead of queueing a
+  // second copy.
   if (earliest >= 0.0 && earliest < pending_completion_check_ - 1e-9) {
     pending_completion_check_ = earliest;
-    queue_.Push(earliest, SimEventType::kCompletionCheck);
+    if (std::find(queued_checks_.begin(), queued_checks_.end(), earliest) ==
+        queued_checks_.end()) {
+      queued_checks_.push_back(earliest);
+      queue_.Push(earliest, SimEventType::kCompletionCheck);
+    }
   }
+}
+
+void Simulator::Impl::RetireQueuedCheck(SimTime time) {
+  auto it = std::find(queued_checks_.begin(), queued_checks_.end(), time);
+  assert(it != queued_checks_.end());
+  *it = queued_checks_.back();
+  queued_checks_.pop_back();
+  // The armed check is never duplicated: no other queued check shares its
+  // time.
+  assert(std::find(queued_checks_.begin(), queued_checks_.end(), time) ==
+         queued_checks_.end());
 }
 
 void Simulator::Impl::HandleArrival(std::int64_t job_index) {
@@ -771,7 +766,10 @@ void Simulator::Impl::HandleInstanceReady(InstanceId id) {
 void Simulator::Impl::HandleCompletionCheck() {
   pending_completion_check_ = std::numeric_limits<SimTime>::infinity();
   if (exec_.completion_candidates().empty()) {
-    return;  // A check that fired early; RecomputeAndArm re-arms it.
+    // The projection landed a hair before the stepwise integration drained
+    // the job; RecomputeAndArm arms the refreshed projection.
+    ++metrics_.events_noop;
+    return;
   }
   rates_dirty_since_round_ = true;
   std::vector<JobId>& finished = scratch_job_ids_;
@@ -1061,8 +1059,9 @@ bool Simulator::Impl::ProcessOneEvent() {
   }
   Advance(event.time);
   ++metrics_.events_processed;
+  ++metrics_.events_by_type[static_cast<std::size_t>(event.type)];
   if (obs_trace_ != nullptr && options_.observability.trace_engine_events) {
-    obs_trace_->Instant(track_, EventSpanName(event.type), event.time, "a",
+    obs_trace_->Instant(track_, SimEventSpanName(event.type), event.time, "a",
                     static_cast<double>(event.a));
   }
   EVA_LOG_DEBUG("event t=%.3f type=%d a=" EVA_PRId64
@@ -1118,7 +1117,16 @@ bool Simulator::Impl::ProcessOneEvent() {
       }
       break;
     case SimEventType::kCompletionCheck:
-      HandleCompletionCheck();
+      RetireQueuedCheck(event.time);
+      // Only the armed check runs the handler. A superseded one has done its
+      // part (the Advance above) and must leave the arming alone: resetting
+      // it would queue a second copy of the armed projection, and every copy
+      // would re-arm the next projection in turn.
+      if (event.time == pending_completion_check_) {
+        HandleCompletionCheck();
+      } else {
+        ++metrics_.events_noop;
+      }
       break;
     case SimEventType::kSpotCheck:
       rates_dirty_since_round_ = true;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "src/core/full_reconfig.h"
 #include "src/core/partial_reconfig.h"
@@ -211,9 +212,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MonitorPropertyTest, testing::Range(1, 7));
 // ---------- End-to-end invariants ----------
 
 struct EndToEndCase {
+  EndToEndCase(SchedulerKind k, std::uint64_t s) : kind(k), seed(s) {}
   SchedulerKind kind;
+  // gtest names each case by hex-dumping the whole object, so the four bytes
+  // between `kind` and `seed` are a zeroed field rather than implicit padding,
+  // whose uninitialised contents made the test names differ between builds.
+  std::uint32_t filler = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<EndToEndCase>,
+              "EndToEndCase must have no padding bytes");
 
 class EndToEndPropertyTest : public testing::TestWithParam<EndToEndCase> {};
 

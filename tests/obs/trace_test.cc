@@ -1,11 +1,13 @@
 // TraceRecorder unit tests: span bookkeeping, deterministic ring-wrap
-// drops, and byte-stable Chrome trace_event export.
+// drops, exact span-time readback, and byte-stable Chrome trace_event export.
 
 #include "src/obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <vector>
 
 namespace eva {
 namespace {
@@ -90,6 +92,26 @@ TEST(ObsTraceTest, RingWrapDropsOldestDeterministically) {
   EXPECT_EQ(json.find("\"i\":11"), std::string::npos);
   EXPECT_NE(json.find("\"i\":12"), std::string::npos);
   EXPECT_NE(json.find("\"i\":19"), std::string::npos);
+}
+
+TEST(ObsTraceTest, SpanTimesAreExactAndInEmitOrderAcrossRingWrap) {
+  TraceRecorder::Options options;
+  options.max_spans_per_track = 4;
+  TraceRecorder recorder(options);
+  const std::uint32_t track = recorder.RegisterTrack("t");
+  const std::uint32_t other = recorder.RegisterTrack("u");
+  // Times one ulp apart render identically in the export's nanoseconds.
+  const double base = 126590.62341362417;
+  const double next = std::nextafter(base, 1e9);
+  recorder.Instant(track, "check", 1.0);
+  recorder.Instant(track, "round", 2.0);
+  recorder.Instant(track, "check", base);
+  recorder.Instant(track, "check", next);
+  recorder.Instant(other, "check", 7.0);
+  recorder.Instant(track, "check", 3.0);  // Wraps over the t=1 span.
+  EXPECT_EQ(recorder.SpanTimes(track, "check"), (std::vector<double>{base, next, 3.0}));
+  EXPECT_EQ(recorder.SpanTimes(other, "check"), (std::vector<double>{7.0}));
+  EXPECT_TRUE(recorder.SpanTimes(track, "absent").empty());
 }
 
 TEST(ObsTraceTest, NumbersFormatDeterministically) {
