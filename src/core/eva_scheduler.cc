@@ -186,44 +186,21 @@ bool EvaScheduler::SameDecisionInputs(const SchedulingContext& context) const {
 }
 
 void EvaScheduler::ComputeCandidates(const SchedulingContext& context) {
-  PackingOptions packing;
-  packing.pool = pool_.get();
-
-  const bool want_full = options_.policy != EvaOptions::Policy::kPartialOnly;
-  const bool want_partial = options_.policy != EvaOptions::Policy::kFullOnly;
-
   // Candidates are packed into the persistent work buffers (their capacity —
   // and every instance slot's tasks capacity — carries across rounds), then
   // swapped into the memo below. The incremental path reads memo_.full as
   // the previous configuration while writing work_full_, which is why the
   // memo cannot be the pack destination directly. A candidate the policy
   // does not compute is emptied, matching the fresh-local semantics.
-  if (!want_full) {
+  if (options_.policy != EvaOptions::Policy::kPartialOnly) {
+    ComputeFullCandidate(context);
+  } else {
     work_full_.instances.clear();
   }
-  if (!want_partial) {
-    work_partial_.instances.clear();
-  }
-  const auto compute_full = [&] { ComputeFullCandidate(context, packing); };
-  const auto compute_partial = [&] {
-    PartialReconfigurationInto(context, *calculator_, packing, work_partial_);
-  };
-
-  if (want_full && want_partial && pool_ != nullptr) {
-    // The two candidates are independent; the calculator's caches are
-    // concurrency-safe and value-deterministic, so this fan-out cannot
-    // change the result.
-    ThreadPool::TaskGroup group(*pool_);
-    group.Submit(compute_full);
-    compute_partial();
-    group.Wait();
+  if (options_.policy != EvaOptions::Policy::kFullOnly) {
+    PartialReconfigurationInto(context, *calculator_, PackingOptions{}, work_partial_);
   } else {
-    if (want_full) {
-      compute_full();
-    }
-    if (want_partial) {
-      compute_partial();
-    }
+    work_partial_.instances.clear();
   }
 
   memo_.valid = true;
@@ -245,11 +222,10 @@ void EvaScheduler::NoteExactIncumbent() {
   escalation_.RecordDivergence(0.0);
 }
 
-void EvaScheduler::Reconcile(const SchedulingContext& context,
-                             const PackingOptions& packing) {
+void EvaScheduler::Reconcile(const SchedulingContext& context) {
   // The incremental candidate sits in work_full_; compute the exact repack
   // alongside and measure how far the fast path drifted.
-  FullReconfigurationInto(context, *calculator_, packing, reconcile_exact_);
+  FullReconfigurationInto(context, *calculator_, PackingOptions{}, reconcile_exact_);
   const Money cost_incremental = work_full_.HourlyCost(*context.catalog);
   const Money cost_exact = reconcile_exact_.HourlyCost(*context.catalog);
   const double divergence = std::abs(cost_incremental - cost_exact) /
@@ -281,10 +257,9 @@ void EvaScheduler::Reconcile(const SchedulingContext& context,
   reconcile_requested_ = false;
 }
 
-void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
-                                        const PackingOptions& packing) {
+void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context) {
   if (!incremental_active_) {
-    FullReconfigurationInto(context, *calculator_, packing, work_full_);
+    FullReconfigurationInto(context, *calculator_, PackingOptions{}, work_full_);
     ++stats_.full_packs;
     ++counters_.packs_full;
     if (trace_) {
@@ -293,7 +268,7 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
     return;
   }
   if (escalation_.escalated()) {
-    FullReconfigurationInto(context, *calculator_, packing, work_full_);
+    FullReconfigurationInto(context, *calculator_, PackingOptions{}, work_full_);
     ++stats_.full_packs;
     ++counters_.packs_escalated;
     escalation_.RecordPack(/*fell_back=*/false);
@@ -305,7 +280,7 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
     return;
   }
   if (!memo_.valid) {
-    FullReconfigurationInto(context, *calculator_, packing, work_full_);
+    FullReconfigurationInto(context, *calculator_, PackingOptions{}, work_full_);
     ++stats_.full_packs;
     ++counters_.packs_full;
     ++counters_.fallback_no_previous;
@@ -318,7 +293,6 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
     return;
   }
   IncrementalOptions incremental;
-  incremental.packing = packing;
   incremental.full_repack_fraction = options_.incremental_full_repack_fraction;
   const IncrementalOutcome outcome = IncrementalReconfigurationInto(
       context, *calculator_, memo_.full, incremental, work_full_);
@@ -340,7 +314,7 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
         std::max(counters_.max_kept_staleness, packs_since_reconcile_);
     if (reconcile_requested_ || (options_.reconcile_every_n_packs > 0 &&
                                  packs_since_reconcile_ >= options_.reconcile_every_n_packs)) {
-      Reconcile(context, packing);
+      Reconcile(context);
     }
     return;
   }
@@ -379,15 +353,6 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
 }
 
 bool EvaScheduler::DecideRound(const SchedulingContext& context) {
-  if (!pool_resolved_) {
-    pool_resolved_ = true;
-    const int threads = options_.max_parallelism == 0 ? ThreadPool::DefaultThreads()
-                                                      : options_.max_parallelism;
-    if (threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(threads);
-    }
-  }
-
   bool unchanged = false;
   if (options_.reuse_unchanged_rounds && memo_.valid) {
     if (memo_.table_version != monitor_.table().Version()) {
@@ -404,9 +369,6 @@ bool EvaScheduler::DecideRound(const SchedulingContext& context) {
   // truth, and the context itself is never copied.
   if (calculator_ == nullptr) {
     calculator_ = std::make_unique<TnrpCalculator>(context, options_.tnrp, &monitor_.table());
-    // Without a pool every pricing call runs on this thread; shed the
-    // cache-shard mutexes.
-    calculator_->set_concurrent(pool_ != nullptr);
   } else {
     calculator_->Rebind(context, &monitor_.table());
   }

@@ -14,9 +14,8 @@
 //     invalidated per workload row by new throughput observations;
 //   * a round memo replays the previous round's candidate configurations
 //     (and, in ensemble mode, their savings/migration prices) verbatim when
-//     nothing decision-relevant changed — the common quiescent round;
-//   * Full and Partial Reconfiguration run concurrently on a thread pool,
-//     which also fans out the packing's inner argmax and downsizing scans.
+//     nothing decision-relevant changed — the common quiescent round.
+// The decision itself is serial: Full then Partial on the calling thread.
 // The incremental fast path (incremental_packing — on by default for
 // workloads of >= incremental_auto_min_jobs jobs, see IncrementalPacking)
 // replaces Full Reconfiguration with delta-touched repacking via
@@ -37,7 +36,6 @@
 
 #include "src/cloud/delays.h"
 #include "src/common/soa_table.h"
-#include "src/common/thread_pool.h"
 #include "src/core/reconfig_decision.h"
 #include "src/core/throughput_monitor.h"
 #include "src/sched/config_diff.h"
@@ -45,8 +43,6 @@
 #include "src/sched/scheduler.h"
 
 namespace eva {
-
-struct PackingOptions;  // full_reconfig.h — referenced by the pack helpers.
 
 struct EvaOptions {
   // Which reconfiguration algorithms may be adopted.
@@ -82,10 +78,6 @@ struct EvaOptions {
   // choice — is bit-identical. Requires reuse_unchanged_rounds.
   bool coalesce_quiescent_rounds = true;
 
-  // Worker threads for the decision path: 0 = hardware concurrency,
-  // 1 = serial, n > 1 = exactly n. A pool is spun up only when > 1.
-  int max_parallelism = 0;
-
   // --- Approximate incremental packing (changes configurations) --------
   // Replace Full Reconfiguration with delta-touched repacking seeded from
   // the previous round's configuration (see incremental_reconfig.h),
@@ -110,9 +102,8 @@ struct EvaOptions {
   // distance) and adopt the exact configuration. Counted in *packs* — actual
   // ComputeCandidates invocations — not rounds: memo-replayed and coalesced
   // rounds reproduce the incumbent verbatim, so divergence cannot change
-  // there, and the cadence stays deterministic under batching and across
-  // pool sizes. <= 0 disables periodic reconciliation (on-demand still
-  // works).
+  // there, and the cadence stays deterministic under batching. <= 0
+  // disables periodic reconciliation (on-demand still works).
   int reconcile_every_n_packs = 64;
 
   // Auto-escalation thresholds (see EscalationPolicy).
@@ -153,8 +144,7 @@ class EvaScheduler : public Scheduler {
   void ExportCounters(SchedulerCounters& out) const override;
   // Span sink for the decision path (pack mode, reconciliations,
   // escalations), stamped at context.now_s. Only the Full-candidate branch
-  // emits — the Partial branch may run concurrently on the pool, and one
-  // emitter per track is the determinism contract (see TraceRecorder).
+  // emits.
   void BindTrace(const TraceBinding& binding) override { trace_ = binding; }
 
   // On-demand reconciliation: the next incremental pack runs the exact
@@ -171,9 +161,6 @@ class EvaScheduler : public Scheduler {
   const Stats& stats() const { return stats_; }
   const ThroughputTable& throughput_table() const { return monitor_.table(); }
   const EventRateEstimator& event_estimator() const { return estimator_; }
-  const TnrpCalculator::CacheStats* tnrp_cache_stats() const {
-    return calculator_ != nullptr ? &calculator_->cache_stats() : nullptr;
-  }
 
  private:
   // Arrivals + completions since the previous round: straight off the
@@ -186,19 +173,18 @@ class EvaScheduler : public Scheduler {
   // estimates deliberately excluded — the packing never reads them).
   bool SameDecisionInputs(const SchedulingContext& context) const;
 
-  // Computes the candidate configurations for `context` into memo_,
-  // fanning out on pool_ when available.
+  // Computes the candidate configurations for `context` into memo_.
   void ComputeCandidates(const SchedulingContext& context);
 
   // Computes the round's Full candidate into work_full_ — exact, or via the
   // incremental fast path with fallback/escalation/reconciliation
-  // accounting. `packing` is the round's packing options.
-  void ComputeFullCandidate(const SchedulingContext& context, const PackingOptions& packing);
+  // accounting.
+  void ComputeFullCandidate(const SchedulingContext& context);
 
   // Bounded-divergence reconciliation: runs FullReconfiguration alongside
   // the incremental candidate already in work_full_, measures divergence,
   // feeds the escalation policy, and swaps the exact result into work_full_.
-  void Reconcile(const SchedulingContext& context, const PackingOptions& packing);
+  void Reconcile(const SchedulingContext& context);
 
   // The incumbent candidate in work_full_ is known exact: staleness resets
   // and the policy truthfully observes zero divergence.
@@ -219,7 +205,7 @@ class EvaScheduler : public Scheduler {
   // below advances only inside ComputeFullCandidate — exactly once per
   // computed pack, never on memo-replayed or coalesced rounds — so the
   // reconciliation cadence and escalation trajectory are deterministic
-  // under batching and across pool sizes.
+  // under batching.
   bool incremental_active_ = false;
   EscalationPolicy escalation_;
   SchedulerCounters counters_;
@@ -253,8 +239,6 @@ class EvaScheduler : public Scheduler {
   // calls) and permanently to the monitor's table as estimator — which is
   // why Schedule does not copy the context.
   std::unique_ptr<TnrpCalculator> calculator_;
-  std::unique_ptr<ThreadPool> pool_;
-  bool pool_resolved_ = false;
 
   // Previous round's decision-relevant inputs and outputs.
   struct RoundMemo {

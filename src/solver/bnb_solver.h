@@ -9,19 +9,6 @@
 // V_r * min_k (C_k / Q_k^r). Like the paper's ILP runs, the solver is
 // time-limited and reports the best incumbent (seeded with the Full
 // Reconfiguration solution) plus whether optimality was proven.
-//
-// With num_threads > 1 the search runs as a work-stealing subtree search:
-// the first few branching levels are expanded (in serial DFS order) into a
-// frontier of root subtrees, worker threads steal subtrees off a shared
-// cursor, and a shared atomic incumbent *bound* accelerates everyone's
-// pruning. Each worker keeps its own incumbent under the serial
-// strict-improvement rule and only prunes against the shared bound with
-// strict inequality, so exact-cost ties are still resolved by subtree
-// order when the per-subtree results are folded back — the returned
-// configuration and the proven_optimal flag match the serial search
-// whenever the search completes within its limits (nodes_explored may
-// differ; distinct configuration costs are assumed to differ by more than
-// the 1e-12 comparison epsilon, which holds for sums of catalog prices).
 
 #ifndef SRC_SOLVER_BNB_SOLVER_H_
 #define SRC_SOLVER_BNB_SOLVER_H_
@@ -45,10 +32,6 @@ struct SolverOptions {
   // configuration. Used when it validates against the context and beats
   // the heuristic seed (or replaces it when seeding is off). Not owned.
   const ClusterConfig* warm_start = nullptr;
-
-  // Worker threads: 1 = the serial search, 0 = hardware concurrency,
-  // n > 1 = exactly n.
-  int num_threads = 1;
 
   // Optional span sink: when bound, the solver emits one "bnb.solve"
   // instant (nodes explored, optimality) stamped at `trace_now_s` — the

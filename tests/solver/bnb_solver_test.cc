@@ -171,57 +171,6 @@ TEST(BnbSolverTest, UnseededSearchStillFindsOptimum) {
   EXPECT_NEAR(result.hourly_cost, 12.8, 1e-9);
 }
 
-// Satellite: the work-stealing parallel search must return the same
-// incumbent configuration, hourly cost, and proven_optimal flag as the
-// serial path (nodes_explored may differ) across random instances.
-TEST(BnbSolverParallelTest, MatchesSerialAcrossSeeds) {
-  const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    std::vector<ResourceVector> demands;
-    const int n = 8 + static_cast<int>(seed % 4);
-    for (int i = 0; i < n; ++i) {
-      const WorkloadSpec& spec = WorkloadRegistry::Get(
-          static_cast<WorkloadId>(rng.UniformInt(0, WorkloadRegistry::NumWorkloads() - 1)));
-      demands.push_back(spec.demand_p3);
-    }
-    const SchedulingContext context = ContextWithDemands(catalog, demands);
-    SolverOptions serial;
-    serial.time_limit_seconds = 10.0;
-    const SolverResult a = SolveOptimalPacking(context, serial);
-    SolverOptions parallel = serial;
-    parallel.num_threads = 4;
-    const SolverResult b = SolveOptimalPacking(context, parallel);
-    ASSERT_TRUE(a.proven_optimal) << "seed " << seed;
-    EXPECT_EQ(b.proven_optimal, a.proven_optimal) << "seed " << seed;
-    EXPECT_EQ(b.hourly_cost, a.hourly_cost) << "seed " << seed;
-    ASSERT_EQ(b.config.instances.size(), a.config.instances.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < a.config.instances.size(); ++i) {
-      EXPECT_EQ(b.config.instances[i].type_index, a.config.instances[i].type_index);
-      EXPECT_EQ(b.config.instances[i].tasks, a.config.instances[i].tasks);
-    }
-  }
-}
-
-TEST(BnbSolverParallelTest, MatchesSerialWithoutHeuristicSeed) {
-  const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
-  const SchedulingContext context = ContextWithDemands(
-      catalog, {{1, 4, 24}, {1, 4, 10}, {0, 6, 40}, {0, 4, 8}, {2, 8, 60}, {0, 2, 8}});
-  SolverOptions serial;
-  serial.seed_with_heuristic = false;
-  const SolverResult a = SolveOptimalPacking(context, serial);
-  SolverOptions parallel = serial;
-  parallel.num_threads = 3;
-  const SolverResult b = SolveOptimalPacking(context, parallel);
-  ASSERT_TRUE(a.proven_optimal);
-  EXPECT_EQ(b.proven_optimal, a.proven_optimal);
-  EXPECT_EQ(b.hourly_cost, a.hourly_cost);
-  ASSERT_EQ(b.config.instances.size(), a.config.instances.size());
-  for (std::size_t i = 0; i < a.config.instances.size(); ++i) {
-    EXPECT_EQ(b.config.instances[i].tasks, a.config.instances[i].tasks);
-  }
-}
-
 TEST(BnbSolverTest, WarmStartSeedsTheIncumbent) {
   const InstanceCatalog catalog = InstanceCatalog::PaperExample();
   const SchedulingContext context = ContextWithDemands(catalog, {{0, 2, 8}, {0, 2, 8}});
