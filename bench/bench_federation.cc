@@ -12,12 +12,9 @@
 //                      preemptions.
 //
 // 2. Tenant-scaling sweep — 10/100/500 tenants (1000 at full
-//    EVA_BENCH_SCALE) through the sharded parallel driver, each point run
-//    at 1 thread and at the hardware pool. Reports events/sec, the
-//    1→N-thread scaling ratio, the serialized share of the round phase,
-//    and the shard-derivation setup wall — the numbers behind the
-//    near-linear-scaling claim. Per-tenant metrics are bit-identical
-//    across both pool sizes (cross-checked here every run).
+//    EVA_BENCH_SCALE) through the serial lockstep driver, each point run
+//    once. Reports wall time, events/sec and the shard-derivation setup
+//    wall.
 //
 // Reports per-tenant cost / spot share / JCT / denial / preemption counts
 // (capped; large fleets aggregate to min/median/p95/max rows) and the
@@ -28,7 +25,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -38,7 +34,6 @@
 #include "src/common/stats.h"
 #include "src/obs/publish.h"
 #include "src/obs/registry.h"
-#include "src/common/thread_pool.h"
 #include "src/sim/federation.h"
 #include "src/workload/trace_gen.h"
 
@@ -162,14 +157,13 @@ void EmitProviderRow(BenchJsonWriter& json, const std::string& name,
       "\"wall_seconds\": %.6f, \"events\": " EVA_PRId64 ", \"events_per_sec\": %.1f, "
       "\"granted\": " EVA_PRId64 ", \"denied\": " EVA_PRId64
       ", \"preempted\": " EVA_PRId64 ", "
-      "\"barriers\": " EVA_PRId64 ", \"round_groups\": " EVA_PRId64
-      ", \"serial_share\": %.4f, "
+      "\"barriers\": " EVA_PRId64 ", \"serial_share\": %.4f, "
       "\"setup_wall_s\": %.6f, \"advance_wall_s\": %.6f, "
       "\"round_wall_s\": %.6f",
       wall, events, wall > 0.0 ? static_cast<double>(events) / wall : 0.0,
       result.provider.TotalGranted(), result.provider.TotalDenied(),
       result.provider.TotalPreempted(), result.stats.barriers,
-      result.stats.round_groups, result.stats.SerialShare(),
+      result.stats.SerialShare(),
       result.stats.setup_wall_s, result.stats.advance_wall_s,
       result.stats.round_wall_s);
   // Driver-level stats again through the shared registry protocol, so the
@@ -213,10 +207,8 @@ void RunScenario(BenchJsonWriter& json, const std::string& name,
   EmitProviderRow(json, name, result, wall);
 }
 
-// One tenant-scaling point: derive the shards (timed — the setup-wall
-// satellite), then run the identical federation once serially and once on
-// the hardware pool. The two runs must agree bit-for-bit; the wall-clock
-// ratio is the thread-scaling headline.
+// One tenant-scaling point: derive the shards (timed — the setup wall),
+// then run the federation once.
 void RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
                    int jobs_per_tenant) {
   const std::string name = "fed" + std::to_string(num_tenants);
@@ -239,61 +231,27 @@ void RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
   options.provider.spot.seed = 4242;
   options.provider.spot.spike_probability = 0.06;
   options.simulator.seed = 5;
-  options.stagger_rounds = true;  // Spread barriers; shrinks the serial residue.
+  options.stagger_rounds = true;  // Spread barriers across the period.
 
-  options.num_threads = 1;
-  auto start = std::chrono::steady_clock::now();
-  const FederationResult serial = RunFederation(tenants, options);
-  const double wall_serial = WallSince(start);
-
-  const int hardware_threads = ThreadPool::DefaultThreads();
-  options.num_threads = hardware_threads;
-  start = std::chrono::steady_clock::now();
+  const auto start = std::chrono::steady_clock::now();
   const FederationResult result = RunFederation(tenants, options);
-  const double wall_pooled = WallSince(start);
-
-  // The determinism contract, enforced on every bench run: pool size must
-  // not leak into any simulated quantity.
-  double divergence = 0.0;
-  for (std::size_t i = 0; i < result.tenants.size(); ++i) {
-    divergence +=
-        std::abs(result.tenants[i].metrics.total_cost -
-                 serial.tenants[i].metrics.total_cost) +
-        std::abs(static_cast<double>(result.tenants[i].metrics.events_processed -
-                                     serial.tenants[i].metrics.events_processed));
-  }
-  if (divergence != 0.0) {
-    std::printf("ERROR: pool-size divergence detected (%.6f) — "
-                "determinism contract broken\n", divergence);
-  }
+  const double wall = WallSince(start);
 
   PrintFederationReport(result);
 
   const std::int64_t events = TotalEvents(result);
-  const double eps_serial =
-      wall_serial > 0.0 ? static_cast<double>(events) / wall_serial : 0.0;
-  const double eps_pooled =
-      wall_pooled > 0.0 ? static_cast<double>(events) / wall_pooled : 0.0;
-  const double scaling = wall_pooled > 0.0 ? wall_serial / wall_pooled : 0.0;
-  std::printf("shard setup %.3fs; 1 thread: %.3fs (%.0f ev/s); %d threads: "
-              "%.3fs (%.0f ev/s); scaling %.2fx; serial share %.3f\n",
-              shard_wall, wall_serial, eps_serial, hardware_threads,
-              wall_pooled, eps_pooled, scaling, result.stats.SerialShare());
+  const double eps = wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
+  std::printf("shard setup %.3fs; run %.3fs (%.0f ev/s)\n", shard_wall, wall, eps);
 
   char fields[640];
   std::snprintf(
       fields, sizeof(fields),
       "\"tenants\": %d, \"jobs_per_tenant\": %d, \"events\": " EVA_PRId64 ", "
-      "\"events_per_sec\": %.1f, \"events_per_sec_1thread\": %.1f, "
-      "\"wall_seconds\": %.6f, \"wall_seconds_1thread\": %.6f, "
-      "\"thread_scaling_x\": %.4f, \"num_threads\": %d, "
+      "\"events_per_sec\": %.1f, \"wall_seconds\": %.6f, "
       "\"serial_share\": %.4f, \"shard_setup_s\": %.6f, "
-      "\"barriers\": " EVA_PRId64 ", \"round_groups\": " EVA_PRId64 ", "
-      "\"bit_identical\": %s",
-      num_tenants, jobs_per_tenant, events, eps_pooled,
-      eps_serial, wall_pooled, wall_serial, scaling, hardware_threads,
-      result.stats.SerialShare(), shard_wall, result.stats.barriers,
-      result.stats.round_groups, divergence == 0.0 ? "true" : "false");
+      "\"barriers\": " EVA_PRId64,
+      num_tenants, jobs_per_tenant, events, eps, wall,
+      result.stats.SerialShare(), shard_wall, result.stats.barriers);
   json.AddCaseFields(name + "_scale", fields);
   EmitTenantAggregates(json, name, result);
 }
@@ -336,7 +294,7 @@ int main() {
   faults.simulator.faults.seed = 97;
   RunScenario(json, "faults", tenants, faults);
 
-  // Tenant-scaling sweep through the sharded parallel driver. Job counts
+  // Tenant-scaling sweep through the serial lockstep driver. Job counts
   // shrink with the fleet so each point stays a comparable total volume;
   // the 1000-tenant point only runs at full EVA_BENCH_SCALE.
   const Trace base = MakeBaseTrace();

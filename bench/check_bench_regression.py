@@ -73,7 +73,7 @@ error: a silently dropped case must not read as a pass.
 
 Cases listed in WARN_ONLY are compared and reported but never fail the
 check — the observation period for newly added sweep cases before they earn
-a gate. (Currently the 100-tenant federation sweep point.)
+a gate. (Currently none.)
 
 `--selftest` runs the gates against built-in fixtures that must fail (and
 one that must pass) — the negative test CI runs so a broken gate cannot
@@ -84,11 +84,8 @@ import json
 import os
 import sys
 
-# fed100_scale is the 100-tenant federation sweep point, in its observation
-# period: its wall time folds in thread-pool scheduling noise on shared CI
-# runners, so it reports against BENCH_federation.json but cannot fail the
-# job yet.
-WARN_ONLY = {"fed100_scale"}
+# Cases in their observation period: reported, never failing.
+WARN_ONLY = frozenset()
 
 # Bench-row protocol version stamped by BenchJsonWriter::kSchemaVersion.
 # Bump both together when the row layout changes.
@@ -326,10 +323,10 @@ def check_fault_case(name, cur, goodput_floor, warn_only):
 
 
 def run_checks(baseline, current, names, tolerance, cost_tol, jct_tol,
-               goodput_floor=0.50):
+               goodput_floor=0.50, warn_only_names=WARN_ONLY):
     failed = check_current_schema(current)
     for name in names:
-        warn_only = name in WARN_ONLY
+        warn_only = name in warn_only_names
         missing_verdict = "WARN" if warn_only else "FAIL"
         if name not in current:
             print(f"{missing_verdict}: case '{name}' missing from current run")
@@ -403,7 +400,8 @@ def selftest():
         return case
 
     scenarios = [
-        # (description, baseline case, current case, names, must_fail)
+        # (description, baseline case, current case, names, must_fail[,
+        #  warn-only names])
         ("all gates green", good_perf, good_perf, ["c", "quality_c"], False),
         # Fewer events in the same wall time is not a regression.
         ("events/sec drop alone", good_perf,
@@ -428,6 +426,10 @@ def selftest():
         ("sweep workload differs", good_sweep,
          variant(good_sweep, jobs_per_tenant=2), ["c"], True),
         ("missing current case", good_perf, None, ["c"], True),
+        # A warn-only case reports its regressions but never fails.
+        ("warn-only wall time rise", good_sweep,
+         variant(good_sweep, wall_seconds=2.6), ["c"], False, {"c"}),
+        ("warn-only missing current case", good_perf, None, ["c"], False, {"c"}),
         ("cost delta over ceiling", None, variant(good_quality, cost_delta=0.25),
          ["quality_c"], True),
         ("jct delta over ceiling", None, variant(good_quality, jct_delta=0.10),
@@ -459,7 +461,7 @@ def selftest():
          variant(good_perf, telemetry={"gauges": {"cost": 1.0}}), ["c"], True),
     ]
     broken = False
-    for description, base_case, cur_case, names, must_fail in scenarios:
+    for description, base_case, cur_case, names, must_fail, *warn in scenarios:
         baseline = {"c": base_case} if base_case else {}
         current = {}
         if cur_case is not None:
@@ -470,7 +472,8 @@ def selftest():
             pass  # "missing current case" scenario.
         elif "c" in names and "c" not in current:
             current["c"] = cur_case
-        failed = run_checks(baseline, current, names, 0.20, 0.10, 0.05)
+        failed = run_checks(baseline, current, names, 0.20, 0.10, 0.05,
+                            warn_only_names=warn[0] if warn else frozenset())
         ok = failed == must_fail
         print(f"{'PASS' if ok else 'BROKEN'}: selftest '{description}' "
               f"(expected {'failure' if must_fail else 'success'})")

@@ -107,13 +107,7 @@ CloudProvider::CloudProvider(const InstanceCatalog& base, CloudProviderOptions o
       market_(base_, options_.spot),
       fault_model_(options_.faults),
       tiered_(options_.spot.enabled ? MakeTiered(base_, market_)
-                                    : InstanceCatalog({})) {
-  for (std::size_t f = 0; f < static_cast<std::size_t>(kNumInstanceFamilies); ++f) {
-    if (options_.family_capacity[f] >= 0) {
-      finite_family_mask_ |= 1u << f;
-    }
-  }
-}
+                                    : InstanceCatalog({})) {}
 
 std::unique_ptr<InstanceCatalog> CloudProvider::MakeQuoteCatalog(
     SimTime now, double risk_premium) const {
@@ -128,7 +122,6 @@ std::unique_ptr<InstanceCatalog> CloudProvider::MakeQuoteCatalog(
 
 std::shared_ptr<const InstanceCatalog> CloudProvider::SharedQuoteCatalog(
     SimTime now, double risk_premium) const {
-  std::lock_guard<std::mutex> lock(quote_mutex_);
   if (!spot_enabled()) {
     if (base_snapshot_ == nullptr) {
       base_snapshot_ = std::make_shared<InstanceCatalog>(base_.types());
@@ -154,15 +147,14 @@ std::shared_ptr<const InstanceCatalog> CloudProvider::SharedQuoteCatalog(
 bool CloudProvider::TryAcquire(int type_index, SimTime now, std::int64_t* slot) {
   const auto family = static_cast<std::size_t>(FamilyOf(type_index));
   const int capacity = options_.family_capacity[family];
-  // Windowed outage clamp: a pure function of time, so it is computed
-  // outside the shard lock and agrees across tenants and threads.
+  // Windowed outage clamp: a pure function of time, so it agrees across
+  // tenants.
   const int effective =
       fault_model_.enabled() ? fault_model_.ClampedCapacity(capacity, now) : capacity;
   if (slot != nullptr) {
     *slot = -1;
   }
   FamilyShard& shard = shards_[family];
-  std::lock_guard<std::mutex> lock(shard.mutex);
   if (capacity >= 0 && shard.in_use >= effective) {
     ++shard.denied;
     if (shard.in_use < capacity) {
@@ -198,7 +190,6 @@ void CloudProvider::Release(int type_index, SimTime acquired_at, SimTime now,
   const auto family = static_cast<std::size_t>(FamilyOf(type_index));
   const int capacity = options_.family_capacity[family];
   FamilyShard& shard = shards_[family];
-  std::lock_guard<std::mutex> lock(shard.mutex);
   --shard.in_use;
   ++shard.released;
   shard.lifetimes.emplace_back(acquired_at, now);
@@ -227,9 +218,7 @@ void CloudProvider::Release(int type_index, SimTime acquired_at, SimTime now,
 
 void CloudProvider::RecordPreemption(int type_index) {
   const auto family = static_cast<std::size_t>(FamilyOf(type_index));
-  FamilyShard& shard = shards_[family];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.preempted;
+  ++shards_[family].preempted;
 }
 
 Money CloudProvider::InstanceCost(int type_index, SimTime t0, SimTime t1) const {
@@ -244,7 +233,6 @@ CloudProviderMetrics CloudProvider::FinalizeMetrics(SimTime horizon) const {
   CloudProviderMetrics metrics;
   for (std::size_t f = 0; f < static_cast<std::size_t>(kNumInstanceFamilies); ++f) {
     const FamilyShard& shard = shards_[f];
-    std::lock_guard<std::mutex> lock(shard.mutex);
     CloudProviderMetrics::Family& out = metrics.families[f];
     out.capacity = options_.family_capacity[f];
     out.granted = shard.granted;
@@ -252,9 +240,9 @@ CloudProviderMetrics CloudProvider::FinalizeMetrics(SimTime horizon) const {
     out.preempted = shard.preempted;
     out.released = shard.released;
     out.fault_denied = shard.fault_denied;
-    // Fold lifetimes in (start, end) order: the records arrive in
-    // nondeterministic order under concurrent release, and floating-point
-    // sums are order-sensitive — sorting first makes the fold reproducible.
+    // Fold lifetimes in (start, end) order: floating-point sums are
+    // order-sensitive, and sorting first makes the fold independent of
+    // release order.
     std::vector<std::pair<SimTime, SimTime>> sorted = shard.lifetimes;
     std::sort(sorted.begin(), sorted.end());
     double instance_seconds = 0.0;
@@ -265,9 +253,8 @@ CloudProviderMetrics CloudProvider::FinalizeMetrics(SimTime horizon) const {
     if (out.capacity >= 0) {
       out.peak_in_use = shard.peak_in_use;
     } else {
-      // Unlimited pools grant concurrently, so a running max would depend
-      // on thread interleaving; sweep the (multiset-deterministic) interval
-      // records instead. Only occupied arena slots are open intervals.
+      // Unlimited pools keep no running max; sweep the interval records
+      // instead. Only occupied arena slots are open intervals.
       std::vector<SimTime> live;
       live.reserve(shard.live_acquires.size() - shard.live_free.size());
       for (const SimTime acquired : shard.live_acquires) {

@@ -21,16 +21,12 @@
 //     structural changes: Algorithm 1 walks the tiered catalog exactly as
 //     it walks the base one.
 //
-//   * Multi-tenancy, sharded. Several simulators may share one provider
-//     (see sim/federation.h). Accounting is partitioned into one shard per
-//     instance family, each behind its own mutex, so tenants whose demand
-//     touches disjoint families never contend on a lock. The federation
-//     driver serializes (in tenant-index order) only the tenants that can
-//     touch the same *finite* family; everything else — grants on unlimited
-//     pools, releases, preemption records — is commutative per shard
-//     (integer tallies plus unordered record lists sorted deterministically
-//     at Finalize), so provider state and metrics are bit-reproducible
-//     across runs and thread-pool sizes.
+//   * Multi-tenancy. Several simulators may share one provider (see
+//     sim/federation.h). The federation driver is a serial loop that calls
+//     into the provider in (virtual time, tenant index) order, so the
+//     provider is single-threaded and holds no locks. Accounting keeps one
+//     shard per instance family; release records are sorted at Finalize, so
+//     provider metrics depend only on the multiset of grants and releases.
 
 #ifndef SRC_CLOUD_PROVIDER_H_
 #define SRC_CLOUD_PROVIDER_H_
@@ -39,7 +35,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -127,12 +122,6 @@ class CloudProvider {
   // constructed from the same options agrees with it bit-for-bit.
   const FaultModel& faults() const { return fault_model_; }
 
-  // Bit f set <=> family f's pool is finite. Only finite families can make
-  // two tenants conflict (an unlimited pool grants unconditionally and its
-  // tallies are commutative), so this is the mask the federation driver
-  // intersects tenant footprints against when partitioning rounds.
-  std::uint32_t finite_family_mask() const { return finite_family_mask_; }
-
   // Family of a tiered-catalog index (pure; spot twins share their base
   // type's family).
   InstanceFamily FamilyOf(int type_index) const {
@@ -149,7 +138,7 @@ class CloudProvider {
   // spot prices are a pure function of the step, so every round that falls
   // in one step sees the *same object*. Two consequences the federation
   // leans on: (a) N tenants rounding in the same step build one catalog
-  // instead of N, from any thread, in any order; (b) catalog identity now
+  // instead of N; (b) catalog identity now
   // means "prices bit-identical", so scheduler-side caches keyed on catalog
   // identity (round memos, TNRP rebinds) stay exactly as valid as with
   // per-round fresh snapshots. Entries are never evicted — the map is
@@ -159,13 +148,12 @@ class CloudProvider {
       SimTime now, double risk_premium) const;
 
   // --- Admission and accounting -----------------------------------------
-  // Grants or denies one instance of `type_index` (tiered index). Grants on
-  // a *finite* family must be serialized in tenant-index order by the
-  // caller (the federation's conflict-group phase; a single-tenant
-  // simulator is trivially serial). Grants on unlimited families are
-  // commutative and may run concurrently. During a zone outage window,
-  // finite capacity is clamped by the down-zone fraction, so admission
-  // denies into the outage even with nominal headroom.
+  // Grants or denies one instance of `type_index` (tiered index). Callers
+  // sharing a provider must call in a deterministic order (the federation
+  // runs tenant rounds in tenant-index order) so contended grants
+  // arbitrate reproducibly. During a zone outage window, finite capacity
+  // is clamped by the down-zone fraction, so admission denies into the
+  // outage even with nominal headroom.
   //
   // `slot` (optional) receives the grant's release ticket: an index into
   // the unlimited pool's live-acquire arena (-1 for finite pools and
@@ -173,15 +161,13 @@ class CloudProvider {
   // that drop it fall back to a linear scan.
   bool TryAcquire(int type_index, SimTime now, std::int64_t* slot = nullptr);
 
-  // Returns the slot and records the uptime. Thread-safe; commutative, so
-  // concurrent releases from the federation's parallel phase are
-  // deterministic in effect. `slot` is the ticket TryAcquire returned
-  // (unlimited pools; O(1) free) or -1 (linear fallback — direct callers
-  // without ticket plumbing).
+  // Returns the slot and records the uptime. `slot` is the ticket
+  // TryAcquire returned (unlimited pools; O(1) free) or -1 (linear
+  // fallback — direct callers without ticket plumbing).
   void Release(int type_index, SimTime acquired_at, SimTime now,
                std::int64_t slot = -1);
 
-  // Counts a preemption warning. Thread-safe.
+  // Counts a preemption warning.
   void RecordPreemption(int type_index);
 
   // True cost of holding `type_index` over [t0, t1]: the spot-trace
@@ -189,12 +175,11 @@ class CloudProvider {
   Money InstanceCost(int type_index, SimTime t0, SimTime t1) const;
 
   // Snapshot of the counters plus derived utilization over [0, horizon].
-  // Sorts the (unordered) release records first, so the result is
-  // independent of release arrival order. peak_in_use is the incremental
-  // maximum for finite pools (grants are serialized, so it is exact) and a
-  // sorted interval sweep over lifetimes for unlimited pools (whose grants
-  // may interleave across threads; ties count a start before an end, so
-  // touching intervals overlap).
+  // Sorts the release records first, so the result is independent of
+  // release arrival order. peak_in_use is the incremental maximum for
+  // finite pools and a sorted interval sweep over lifetimes for unlimited
+  // pools (ties count a start before an end, so touching intervals
+  // overlap).
   CloudProviderMetrics FinalizeMetrics(SimTime horizon) const;
 
  private:
@@ -206,39 +191,32 @@ class CloudProvider {
   SpotMarket market_;
   FaultModel fault_model_;
   InstanceCatalog tiered_;  // == base twins appended; unused when spot off.
-  std::uint32_t finite_family_mask_ = 0;
 
-  // One independently-lockable shard per instance family (the ytsaurus
-  // node-shard idiom): tenants touching disjoint families never share a
-  // lock.
+  // Per-family accounting.
   struct FamilyShard {
-    mutable std::mutex mutex;
     int in_use = 0;
-    // Exact for finite pools (grants serialized by the caller); unused for
-    // unlimited pools, whose peak comes from the Finalize sweep.
+    // Exact for finite pools; unused for unlimited pools, whose peak comes
+    // from the Finalize sweep.
     int peak_in_use = 0;
     std::int64_t granted = 0;
     std::int64_t denied = 0;
     std::int64_t preempted = 0;
     std::int64_t released = 0;
     std::int64_t fault_denied = 0;  // Denials attributable to the outage clamp.
-    // Released-instance lifetimes, in arrival order (nondeterministic under
-    // concurrency); FinalizeMetrics sorts before folding.
+    // Released-instance lifetimes, in release order; FinalizeMetrics sorts
+    // before folding.
     std::vector<std::pair<SimTime, SimTime>> lifetimes;
     // Acquire times of still-live instances — maintained only for unlimited
     // pools, where the peak sweep needs open intervals too. A slot arena:
     // TryAcquire hands out an index (reusing `live_free` slots first) and
-    // Release frees it in O(1); freed slots hold kFreeAcquireSlot. The
-    // occupied values form a multiset — slot numbering is interleaving-
-    // dependent, but nothing downstream reads it (the peak sweep sorts).
+    // Release frees it in O(1); freed slots hold kFreeAcquireSlot. Nothing
+    // downstream reads slot numbering (the peak sweep sorts the values).
     std::vector<SimTime> live_acquires;
     std::vector<std::int64_t> live_free;
   };
   std::array<FamilyShard, kNumInstanceFamilies> shards_;
 
-  // Shared quote snapshots keyed by (price step, risk premium). Guarded by
-  // its own mutex so quoting never contends with admission shards.
-  mutable std::mutex quote_mutex_;
+  // Shared quote snapshots keyed by (price step, risk premium).
   mutable std::map<std::pair<std::int64_t, double>,
                    std::shared_ptr<const InstanceCatalog>>
       quote_cache_;

@@ -64,12 +64,9 @@ void PublishFederationStats(const FederationStats& stats,
   registry->SetCounter("federation.barriers", stats.barriers);
   registry->SetCounter("federation.round_participants",
                        stats.round_participants);
-  registry->SetCounter("federation.round_groups", stats.round_groups);
-  registry->SetCounter("federation.largest_group_participants",
-                       stats.largest_group_participants);
   // Deliberately no wall-clock gauges: registry output must be a
   // deterministic function of the run (bench rows already carry the wall
-  // times as flat fields). SerialShare is a pure counter ratio.
+  // times as flat fields). SerialShare is a pure function of the counters.
   registry->SetGauge("federation.serial_share", stats.SerialShare());
 }
 

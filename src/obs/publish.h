@@ -25,7 +25,7 @@ void PublishSchedulerCounters(const SchedulerCounters& counters,
 // "faults.*": injected faults, kills/drains, lost work, goodput.
 void PublishFaultStats(const FaultStats& faults, TelemetryRegistry* registry);
 
-// "federation.*": barriers, conflict grouping, phase wall times.
+// "federation.*": barriers, round participants, serial share.
 void PublishFederationStats(const FederationStats& stats,
                             TelemetryRegistry* registry);
 

@@ -12,8 +12,8 @@
 // Concurrency: a registry is SINGLE-WRITER. Simulators run their event
 // loops serially, so a per-tenant registry needs no locks; the federation
 // driver does not hand one registry to many tenants — it publishes the
-// aggregate itself after the parallel phase. Time-series bucketing is in
-// virtual time, so sampled series are deterministic across pool sizes.
+// aggregate itself after the run. Time-series bucketing is in virtual
+// time, so sampled series are deterministic across runs.
 
 #ifndef SRC_OBS_REGISTRY_H_
 #define SRC_OBS_REGISTRY_H_

@@ -3,8 +3,8 @@
 // TraceRecorder keeps one lock-free ring buffer per *track* — a logical
 // event stream such as one tenant's simulator, the federation driver, or a
 // bench harness. Tracks, not OS threads, are the unit of concurrency here
-// on purpose: every Simulator processes its events serially (the federation
-// driver parallelises *across* tenants, never within one), so a per-track
+// on purpose: every Simulator processes its events serially (comparison
+// runs parallelise *across* simulators, never within one), so a per-track
 // ring needs no synchronisation on the emit path and, more importantly, its
 // span sequence is identical no matter how many pool threads the run used.
 // A per-OS-thread recorder would be lock-free too, but its interleaving

@@ -1,7 +1,6 @@
 #include "src/sim/federation.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -9,7 +8,6 @@
 
 #include "src/common/format.h"
 #include "src/common/stats.h"
-#include "src/common/thread_pool.h"
 #include "src/obs/publish.h"
 #include "src/workload/trace_gen.h"
 
@@ -42,14 +40,11 @@ std::vector<FederationTenant> MakeTenantShards(const Trace& base, int num_tenant
     return tenants;
   }
   // Hoist the source-derived resample quantities out of the per-tenant
-  // loop (one plan, N derivations) and build the shards in parallel — each
-  // shard is a pure function of (plan, options), so slot i's content is
-  // independent of scheduling order.
+  // loop: one plan, N derivations.
   const TraceResamplePlan plan = MakeResamplePlan(base);
   const double rate_multiplier =
       static_cast<double>(base.jobs.size()) / std::max(jobs_per_tenant, 1);
-  ThreadPool pool(std::min<int>(ThreadPool::DefaultThreads(), num_tenants));
-  pool.ParallelFor(tenants.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
     TraceScaleOptions scale;
     scale.target_jobs = jobs_per_tenant;
     scale.seed = seed_base + static_cast<std::uint64_t>(i);
@@ -58,7 +53,7 @@ std::vector<FederationTenant> MakeTenantShards(const Trace& base, int num_tenant
     tenant.name = "tenant" + std::to_string(i);
     tenant.trace = ScaleTraceFromPlan(plan, scale);
     tenant.kind = kind;
-  });
+  }
   return tenants;
 }
 
@@ -82,11 +77,9 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
 
   // Observability. One shared TraceRecorder serves every tenant (each
   // registers its own track at construction); the driver adds a
-  // "federation" track for barrier spans, emitted only from this serial
-  // loop so the track's order never depends on the pool. FlightRecorder
-  // and TelemetryRegistry are single-writer: tenants record into their own
-  // slot of the caller's flight-recorder vector, and the shared registry
-  // pointer is withheld from tenants — the driver publishes the
+  // "federation" track for barrier instants. Each tenant records into its
+  // own slot of the caller's flight-recorder vector, and the shared
+  // registry pointer is withheld from tenants — the driver publishes the
   // federation-level stats into it after the run instead.
   const ObservabilityOptions& obs = options.simulator.observability;
   TraceRecorder* fed_trace = nullptr;
@@ -138,14 +131,9 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
   }
   stats.setup_wall_s = Seconds(std::chrono::steady_clock::now() - setup_start);
 
-  const int threads = options.num_threads > 0 ? options.num_threads
-                                              : ThreadPool::DefaultThreads();
-  ThreadPool pool(std::min<int>(threads, static_cast<int>(runs.size())));
   constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
-  const std::uint32_t finite_mask = provider.finite_family_mask();
-
   const auto next_barrier = [&runs]() {
-    SimTime barrier = std::numeric_limits<SimTime>::infinity();
+    SimTime barrier = kInf;
     for (const TenantRun& run : runs) {
       barrier = std::min(barrier, run.simulator->NextRoundTime());
     }
@@ -160,27 +148,15 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
     return true;
   };
 
-  // Reused per-barrier scratch.
-  std::vector<std::size_t> participants;
-  std::vector<std::uint32_t> masks;
-  std::vector<std::vector<std::size_t>> groups;
-
+  std::vector<std::size_t> participants;  // Reused per-barrier scratch.
   while (true) {
     SimTime barrier = next_barrier();
 
-    // Parallel phase: every tenant burns through its non-round events below
-    // the barrier. Per-tenant work is fully independent; the only shared
-    // state touched (provider releases/preemption tallies, quote snapshots)
-    // is commutative per family shard, so the barrier snapshot is the same
-    // for every pool size.
+    // Advance: every tenant burns through its non-round events below the
+    // barrier, in tenant-index order.
     const auto advance_start = std::chrono::steady_clock::now();
-    {
-      ThreadPool::TaskGroup group(pool);
-      for (TenantRun& run : runs) {
-        Simulator* simulator = run.simulator.get();
-        group.Submit([simulator, barrier] { simulator->AdvanceUntil(barrier); });
-      }
-      group.Wait();
+    for (TenantRun& run : runs) {
+      run.simulator->AdvanceUntil(barrier);
     }
     stats.advance_wall_s += Seconds(std::chrono::steady_clock::now() - advance_start);
 
@@ -202,104 +178,26 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
       continue;
     }
 
+    // Round: after the advance, every remaining event at or before the
+    // barrier sits exactly on it (non-round events below were consumed;
+    // rounds below would have lowered `recomputed`). Participants process
+    // through the barrier in ascending tenant index, so every contended
+    // TryAcquire arbitrates in (virtual time, tenant index) order.
     const auto round_start = std::chrono::steady_clock::now();
-
-    // Participants: after the parallel phase, every remaining event at or
-    // before the barrier sits exactly on it (non-round events below were
-    // consumed; rounds below would have lowered `recomputed`).
     participants.clear();
-    masks.clear();
     for (std::size_t i = 0; i < runs.size(); ++i) {
       if (runs[i].simulator->NextEventTime() <= barrier) {
         participants.push_back(i);
-        // Only finite families can make two tenants conflict; grants on
-        // unlimited pools are unconditional and their tallies commutative.
-        masks.push_back(runs[i].simulator->ProviderFamilyFootprint(barrier) &
-                        finite_mask);
       }
     }
-
-    // Conflict partition: union the finite families each participant can
-    // touch, then bucket participants by their families' root. A tenant
-    // touching no finite family forms a singleton group. Group membership
-    // and order are pure functions of (participants, masks) — identical for
-    // every pool size — and members stay in ascending tenant order.
-    groups.clear();
-    std::array<int, kNumInstanceFamilies> root;
-    for (int f = 0; f < kNumInstanceFamilies; ++f) {
-      root[static_cast<std::size_t>(f)] = f;
-    }
-    const auto find = [&root](int f) {
-      while (root[static_cast<std::size_t>(f)] != f) {
-        f = root[static_cast<std::size_t>(f)] =
-            root[static_cast<std::size_t>(root[static_cast<std::size_t>(f)])];
-      }
-      return f;
-    };
-    for (const std::uint32_t mask : masks) {
-      int first = -1;
-      for (int f = 0; f < kNumInstanceFamilies; ++f) {
-        if ((mask >> f) & 1u) {
-          if (first < 0) {
-            first = f;
-          } else {
-            root[static_cast<std::size_t>(find(f))] = find(first);
-          }
-        }
-      }
-    }
-    std::array<int, kNumInstanceFamilies> group_of_family;
-    group_of_family.fill(-1);
-    for (std::size_t k = 0; k < participants.size(); ++k) {
-      const std::uint32_t mask = masks[k];
-      if (mask == 0) {
-        groups.emplace_back(1, participants[k]);
-        continue;
-      }
-      int f = 0;
-      while (((mask >> f) & 1u) == 0) {
-        ++f;
-      }
-      const auto r = static_cast<std::size_t>(find(f));
-      if (group_of_family[r] < 0) {
-        group_of_family[r] = static_cast<int>(groups.size());
-        groups.emplace_back();
-      }
-      groups[static_cast<std::size_t>(group_of_family[r])].push_back(participants[k]);
-    }
-
     ++stats.barriers;
     stats.round_participants += static_cast<std::int64_t>(participants.size());
-    stats.round_groups += static_cast<std::int64_t>(groups.size());
-    std::size_t largest = 0;
-    for (const auto& members : groups) {
-      largest = std::max(largest, members.size());
-    }
-    stats.largest_group_participants += static_cast<std::int64_t>(largest);
     if (fed_trace != nullptr) {
       fed_trace->Instant(fed_track, "fed.barrier", barrier, "participants",
-                         static_cast<double>(participants.size()), "groups",
-                         static_cast<double>(groups.size()));
+                         static_cast<double>(participants.size()));
     }
-
-    // Grouped round phase: groups fan out on the pool (they touch disjoint
-    // finite shards, plus commutative unlimited/quote state); members of a
-    // group run serially in tenant-index order, so every contended grant
-    // arbitrates deterministically.
-    if (groups.size() == 1) {
-      for (const std::size_t idx : groups.front()) {
-        runs[idx].simulator->ProcessEventsThrough(barrier);
-      }
-    } else {
-      ThreadPool::TaskGroup task_group(pool);
-      for (const auto& members : groups) {
-        task_group.Submit([&runs, &members, barrier] {
-          for (const std::size_t idx : members) {
-            runs[idx].simulator->ProcessEventsThrough(barrier);
-          }
-        });
-      }
-      task_group.Wait();
+    for (const std::size_t idx : participants) {
+      runs[idx].simulator->ProcessEventsThrough(barrier);
     }
     stats.round_wall_s += Seconds(std::chrono::steady_clock::now() - round_start);
   }
@@ -424,11 +322,9 @@ void PrintFederationReport(const FederationResult& result,
   const FederationStats& stats = result.stats;
   std::printf(
       "driver: barriers=" EVA_PRId64 " participants=" EVA_PRId64
-      " groups=" EVA_PRId64 " serial-share=%.3f "
-      "setup=%.3fs advance=%.3fs rounds=%.3fs\n",
-      stats.barriers, stats.round_participants, stats.round_groups,
-      stats.SerialShare(), stats.setup_wall_s, stats.advance_wall_s,
-      stats.round_wall_s);
+      " setup=%.3fs advance=%.3fs rounds=%.3fs\n",
+      stats.barriers, stats.round_participants, stats.setup_wall_s,
+      stats.advance_wall_s, stats.round_wall_s);
 }
 
 }  // namespace eva

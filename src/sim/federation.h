@@ -2,39 +2,29 @@
 // shared CloudProvider in lockstep virtual time.
 //
 // Each tenant is a full Simulator (own trace, own scheduler, own metrics)
-// constructed against the shared provider's catalog. The driver interleaves
-// them with a two-phase barrier protocol that is deterministic by
-// construction — bit-identical results across runs AND across thread-pool
-// sizes:
+// constructed against the shared provider's catalog. The driver runs them
+// in one serial lockstep loop. Each iteration picks the barrier T, the
+// earliest pending scheduling round across all tenants, then:
 //
-//   1. Parallel phase. Every tenant processes its pending events up to
-//      (strictly before) T, the earliest pending scheduling round across
-//      all tenants, fanning out on the thread pool. No events in this
-//      window acquire provider capacity (only scheduling rounds launch
-//      instances); the provider mutations that can occur — capacity
-//      releases and preemption tallies — are commutative per family shard,
-//      so the provider state at the barrier does not depend on
-//      interleaving.
+//   1. Advance. Every tenant, in tenant-index order, processes its pending
+//      events strictly before T. Only scheduling rounds launch instances,
+//      so no event in this window acquires provider capacity.
 //
-//   2. Conflict-grouped round phase. Tenants with events exactly at T are
-//      partitioned by the provider family shards they can touch (the
-//      Simulator::ProviderFamilyFootprint contract, intersected with the
-//      provider's *finite* families — unlimited pools grant unconditionally
-//      and tally commutatively, so they cannot make two tenants conflict).
-//      Tenants sharing a finite shard land in one group; groups run
-//      concurrently on the pool, and within a group tenants run one at a
-//      time in tenant-index order. Every contended TryAcquire therefore
-//      arbitrates in deterministic (virtual time, tenant index) order,
-//      while non-contending tenants — the common case once capacity is
-//      partitioned or demand is family-disjoint — round in parallel.
+//   2. Round. Every tenant with events exactly at T processes them, in
+//      ascending tenant index. Every contended TryAcquire therefore
+//      arbitrates in (virtual time, tenant index) order, and results are
+//      bit-identical across runs.
+//
+// Tenants share nothing but the provider, so the loop needs no locks. The
+// per-barrier work is small (tens of events across all tenants, even at
+// 100 tenants), far too little to pay for fanning tenants out to threads.
 //
 // With staggered round offsets enabled, tenants' round phases are spread
 // deterministically across the scheduling period, so each barrier carries a
-// fraction of the tenants instead of all of them — the same trick real
-// clusters use to flatten controller load spikes.
+// fraction of the tenants instead of all of them.
 //
 // A tenant that drains its round chain and later re-triggers it (an arrival
-// after an idle stretch) can create a round earlier than T mid-phase; the
+// after an idle stretch) can create a round earlier than T mid-advance; the
 // driver detects this and re-computes the barrier before any round runs.
 
 #ifndef SRC_SIM_FEDERATION_H_
@@ -69,57 +59,43 @@ struct FederationOptions {
   // The shared provider every tenant provisions from.
   CloudProviderOptions provider;
 
-  // Worker threads for the parallel and grouped phases; <= 0 uses all
-  // hardware threads.
+  // No effect: the driver is serial. Kept so existing callers that set it
+  // still compile.
   int num_threads = 0;
 
   // Deterministic round stagger (opt-in). Tenant i's first scheduling round
   // fires at slot(i) x (period / stagger_slots) with slot(i) =
   // hash(stagger_seed, i) % stagger_slots, instead of every tenant rounding
   // at t=0, 300, 600, ... in phase. Spreads barrier pressure: each barrier
-  // then carries ~1/stagger_slots of the tenants, shrinking both the
-  // serialized residue and the idle tail of the parallel phase. Offsets are
-  // a pure function of (stagger_seed, i) — same seed, same trajectory.
+  // then carries ~1/stagger_slots of the tenants. Offsets are a pure
+  // function of (stagger_seed, i) — same seed, same trajectory.
   bool stagger_rounds = false;
   int stagger_slots = 8;
   std::uint64_t stagger_seed = 0x57A66E12u;
 
   // Per-tenant flight recorders (caller-owned; resized to the tenant count
-  // by RunFederation). FlightRecorder is single-writer, so the shared
-  // `simulator.observability.flight_recorder` pointer cannot serve N
-  // concurrent tenants — supply a vector instead and tenant i records into
-  // slot i. Same single-writer story for the registry: the driver nulls the
-  // per-tenant registry pointer and publishes federation-level aggregates
-  // into `simulator.observability.registry` itself after the run. The
-  // TraceRecorder *is* shared (per-track rings), each tenant on its own
-  // track plus a "federation" track for barrier spans.
+  // by RunFederation). One FlightRecorder holds one run's rounds, so the
+  // shared `simulator.observability.flight_recorder` pointer cannot serve
+  // N tenants — supply a vector instead and tenant i records into slot i.
+  // The driver nulls the per-tenant registry pointer and publishes
+  // federation-level aggregates into `simulator.observability.registry`
+  // itself after the run. The TraceRecorder *is* shared, each tenant on its
+  // own track plus a "federation" track for barrier instants.
   std::vector<FlightRecorder>* flight_recorders = nullptr;
 };
 
-// Where the federation's wall-clock time went, plus the counters behind the
-// serial-phase share the bench reports.
+// Where the federation's wall-clock time went, plus its barrier counters.
 struct FederationStats {
-  std::int64_t barriers = 0;           // Two-phase iterations executed.
+  std::int64_t barriers = 0;           // Lockstep iterations that ran rounds.
   std::int64_t round_participants = 0; // Tenant-barrier pairs with barrier-time events.
-  std::int64_t round_groups = 0;       // Conflict groups dispatched (singletons included).
-  // Sum over barriers of the largest group's participant count — the
-  // critical path of the grouped phase (groups run concurrently; members
-  // of one group run serially).
-  std::int64_t largest_group_participants = 0;
 
   double setup_wall_s = 0.0;    // Scheduler + simulator construction, Start().
-  double advance_wall_s = 0.0;  // Parallel AdvanceUntil phase.
-  double round_wall_s = 0.0;    // Conflict-grouped round phase.
+  double advance_wall_s = 0.0;  // Advance phase (events below each barrier).
+  double round_wall_s = 0.0;    // Round phase (events at each barrier).
 
-  // Fraction of round-phase tenant work that sits on the serialized
-  // critical path: 1.0 = every participant shares one group (the old
-  // fully-serial phase), 1/participants = perfect spread.
-  double SerialShare() const {
-    return round_participants > 0
-               ? static_cast<double>(largest_group_participants) /
-                     static_cast<double>(round_participants)
-               : 0.0;
-  }
+  // Share of round-phase tenant work on the serial critical path: all of
+  // it once any round ran, since the driver runs every round serially.
+  double SerialShare() const { return round_participants > 0 ? 1.0 : 0.0; }
 };
 
 struct FederationResult {
@@ -149,8 +125,8 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
 // source's cadence — thinning alone would stretch the arrival process
 // ~source/target x, and non-overlapping tenants never contend. Tenant i is
 // named "tenant<i>" and seeded seed_base + i (distinct job mixes). The
-// source's resample plan is computed once and the shards derived from it in
-// parallel, so setup stays flat in the source size at high tenant counts.
+// source's resample plan is computed once and every shard derived from it,
+// so setup stays flat in the source size at high tenant counts.
 std::vector<FederationTenant> MakeTenantShards(const Trace& base, int num_tenants,
                                                int jobs_per_tenant,
                                                std::uint64_t seed_base = 101,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -107,7 +106,6 @@ class Simulator::Impl {
     return (aborted_ || queue_.Empty()) ? std::numeric_limits<SimTime>::infinity()
                                         : queue_.Top().time;
   }
-  std::uint32_t ProviderFamilyFootprint(SimTime through);
   void AdvanceUntil(SimTime limit);
   void ProcessEventsThrough(SimTime t);
   SimulationMetrics Finish();
@@ -166,28 +164,6 @@ class Simulator::Impl {
 
   bool SpotActive() const { return provider_ != nullptr && provider_->spot_enabled(); }
   bool FaultsActive() const { return options_.faults.enabled; }
-
-  // Families with at least one catalog type that can host this job's tasks
-  // — every family a scheduler could conceivably launch for it.
-  std::uint32_t JobFamilyMask(const JobSpec& spec) const {
-    std::uint32_t mask = 0;
-    for (int i = 0; i < catalog_.NumTypes(); ++i) {
-      const InstanceType& type = catalog_.Get(i);
-      const auto bit = 1u << static_cast<int>(type.family);
-      if ((mask & bit) == 0 && spec.DemandFor(type.family).FitsWithin(type.capacity)) {
-        mask |= bit;
-      }
-    }
-    return mask;
-  }
-
-  std::uint32_t CachedJobFamilyMask(const JobSpec& spec) {
-    const auto [it, inserted] = job_family_mask_.try_emplace(spec.id, 0u);
-    if (inserted) {
-      it->second = JobFamilyMask(spec);
-    }
-    return it->second;
-  }
 
   bool HasActiveJobs() const { return state_.num_active() > 0; }
   bool HasPendingArrivals() const { return next_arrival_ < trace_.jobs.size(); }
@@ -329,15 +305,6 @@ class Simulator::Impl {
   // every real price change and only then, and all tenants rounding in one
   // step share one snapshot instead of building their own.
   std::shared_ptr<const InstanceCatalog> quote_catalog_;
-
-  // Footprint contract (federation): the family mask this tenant declared
-  // for the barrier at `footprint_through_`. Acquisitions at that time must
-  // fall inside the mask — see ProviderFamilyFootprint.
-  std::uint32_t footprint_mask_ = 0;
-  SimTime footprint_through_ = -std::numeric_limits<SimTime>::infinity();
-  bool footprint_armed_ = false;
-  // A job's family-fit mask is pure in (spec, catalog); cached by job id.
-  std::unordered_map<JobId, std::uint32_t> job_family_mask_;
 
   // Quiescence tracking for the batched round trigger. `last_apply_noop_`:
   // the previous round's configuration changed nothing (no launches,
@@ -565,21 +532,6 @@ void Simulator::Impl::ApplyConfig(const SchedulingContext& context,
     if (binding.existing_id != kInvalidInstanceId) {
       binding_instance[i] = binding.existing_id;
       continue;
-    }
-    if (options_.shared_provider != nullptr && footprint_armed_ &&
-        now_ == footprint_through_) {
-      // Footprint contract: a launch on a family the tenant did not declare
-      // would touch a shard the conflict grouping assigned to someone else.
-      // Fail loudly — the alternative is a silent cross-pool-size
-      // determinism break.
-      const auto family = static_cast<int>(catalog_.Get(binding.type_index).family);
-      if (((footprint_mask_ >> family) & 1u) == 0) {
-        EVA_LOG_ERROR(
-            "tenant %d: launch of family %d at t=%.0f escapes its declared "
-            "provider footprint (mask %#x); aborting",
-            options_.tenant_id, family, now_, footprint_mask_);
-        std::abort();
-      }
     }
     std::int64_t slot = -1;
     if (provider_ != nullptr && !provider_->TryAcquire(binding.type_index, now_, &slot)) {
@@ -1173,33 +1125,6 @@ void Simulator::Impl::Start() {
   PushRound(std::max(options_.first_round_offset_s, 0.0));
 }
 
-std::uint32_t Simulator::Impl::ProviderFamilyFootprint(SimTime through) {
-  std::uint32_t mask = 0;
-  if (provider_ != nullptr) {
-    // Release / preemption channel: families of live instances (another
-    // tenant's admission at this barrier can depend on a slot we return).
-    for (const auto& [id, instance] : state_.instances()) {
-      mask |= 1u << static_cast<int>(catalog_.Get(instance.type_index).family);
-    }
-    // Acquire channel: families any active job fits — a round at the
-    // barrier may launch for any of them.
-    for (const JobId job_id : state_.active_jobs()) {
-      mask |= CachedJobFamilyMask(state_.jobs().find(job_id)->second.spec);
-    }
-    // Arrivals at or before the barrier join the active set before (or as)
-    // the round runs; AdvanceUntil stops strictly before the barrier, so
-    // scanning forward from next_arrival_ covers them.
-    for (std::size_t a = next_arrival_;
-         a < trace_.jobs.size() && trace_.jobs[a].arrival_time_s <= through; ++a) {
-      mask |= CachedJobFamilyMask(trace_.jobs[a]);
-    }
-  }
-  footprint_armed_ = true;
-  footprint_through_ = through;
-  footprint_mask_ = mask;
-  return mask;
-}
-
 void Simulator::Impl::AdvanceUntil(SimTime limit) {
   while (!aborted_ && !queue_.Empty() && queue_.Top().time < limit &&
          queue_.Top().type != SimEventType::kRound) {
@@ -1271,9 +1196,6 @@ SimulationMetrics Simulator::Run() { return impl_->Run(); }
 void Simulator::Start() { impl_->Start(); }
 SimTime Simulator::NextRoundTime() const { return impl_->NextRoundTime(); }
 SimTime Simulator::NextEventTime() const { return impl_->NextEventTime(); }
-std::uint32_t Simulator::ProviderFamilyFootprint(SimTime through) {
-  return impl_->ProviderFamilyFootprint(through);
-}
 bool Simulator::Drained() const { return impl_->Drained(); }
 void Simulator::AdvanceUntil(SimTime limit) { impl_->AdvanceUntil(limit); }
 void Simulator::ProcessEventsThrough(SimTime t) { impl_->ProcessEventsThrough(t); }

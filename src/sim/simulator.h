@@ -79,7 +79,7 @@ struct SimulatorOptions {
   // owns it (it must outlive the simulator) and must construct the
   // simulator with the provider's base catalog; the engine then runs
   // against provider->tiered_catalog(). See sim/federation.h for the
-  // lockstep protocol that keeps shared-provider runs deterministic.
+  // serial lockstep loop that orders the tenants' provider calls.
   CloudProvider* shared_provider = nullptr;
 
   // Tenant index, for logs and federation bookkeeping.
@@ -133,14 +133,12 @@ class Simulator {
   SimulationMetrics Run();
 
   // --- Lockstep stepping API (the federation driver; see federation.h) ---
-  // The driver alternates a parallel phase — every tenant processes its
+  // The driver alternates an advance phase — every tenant processes its
   // events up to (strictly before) the next scheduling round anywhere, via
-  // AdvanceUntil — with a serial phase that processes the round-boundary
+  // AdvanceUntil — with a round phase that processes the round-boundary
   // events tenant by tenant via ProcessEventsThrough. Scheduling rounds are
-  // the only events that acquire provider capacity, so confining them to
-  // the serial phase makes contended admission deterministic: grants are
-  // arbitrated in (virtual time, tenant order), independent of thread
-  // count.
+  // the only events that acquire provider capacity, so contended admission
+  // is arbitrated in (virtual time, tenant order).
 
   // Prepares the event queue (first arrival + first round). Call once.
   void Start();
@@ -153,22 +151,11 @@ class Simulator {
   // do at a barrier.
   SimTime NextEventTime() const;
 
-  // Families of the shared provider this tenant could touch — acquire,
-  // release, or preemption-record — while processing events at times <=
-  // `through`: live-instance families plus every family an active or
-  // arriving-by-`through` job fits. The federation driver intersects these
-  // masks (restricted to the provider's finite families) to partition
-  // same-barrier rounds into conflict groups. Calling this also arms a
-  // contract check: an acquisition at exactly `through` outside the
-  // returned mask is a hard error, because a launch the grouping could not
-  // foresee would silently break cross-pool-size determinism.
-  std::uint32_t ProviderFamilyFootprint(SimTime through);
-
   // True when no events remain (or the run aborted at max_sim_time_s).
   bool Drained() const;
 
   // Processes events with time < limit, stopping early whenever the next
-  // event is a scheduling round (which the serial phase must own).
+  // event is a scheduling round (which the round phase must own).
   void AdvanceUntil(SimTime limit);
 
   // Processes every event with time <= t, rounds included, plus any events

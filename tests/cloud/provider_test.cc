@@ -90,19 +90,6 @@ TEST(CloudProviderTest, AdmissionDeniesWhenFamilyPoolExhausted) {
   EXPECT_EQ(metrics.TotalDenied(), 1);
 }
 
-TEST(CloudProviderTest, FiniteFamilyMaskTracksCapacities) {
-  const InstanceCatalog base = InstanceCatalog::AwsDefault();
-  CloudProviderOptions options;
-  options.enabled = true;
-  options.family_capacity = {2, -1, 0};  // P3 and R7i finite, C7i unlimited.
-  const CloudProvider provider(base, options);
-  EXPECT_EQ(provider.finite_family_mask(), 0b101u);
-
-  CloudProviderOptions unlimited;
-  unlimited.enabled = true;
-  EXPECT_EQ(CloudProvider(base, unlimited).finite_family_mask(), 0u);
-}
-
 TEST(CloudProviderTest, SharedQuoteCatalogCachesByPriceStepAndPremium) {
   const InstanceCatalog base = InstanceCatalog::AwsDefault();
   const CloudProvider provider(base, SpotOptions());

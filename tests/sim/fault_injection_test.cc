@@ -5,9 +5,8 @@
 // bit-exact with a default-options run: the subsystem is default-off and a
 // disabled model is never consulted.
 //
-// (The suite name deliberately matches the CI sanitizer filter
-// `Federation|ThreadPool|Fault`: these handlers run inside the federation's
-// parallel phase, so they get TSan coverage too.)
+// (The suite name matches the CI sanitizer filter, so these handlers also
+// run under TSan.)
 
 #include <gtest/gtest.h>
 

@@ -1,12 +1,13 @@
 // Federation driver tests: deterministic multi-tenant co-simulation against
 // one shared, capacity-constrained spot provider.
 //
-// The load-bearing property is bit-reproducibility: per-tenant metrics must
-// be identical across repeated runs AND across thread-pool sizes — the
-// lockstep protocol confines every provider grant to the serial
-// tenant-ordered phase, and all parallel-phase provider mutations are
-// commutative. The scenario tests additionally pin the new market behaviors
-// (denials under exhausted pools, spot preemptions) actually engaging.
+// The load-bearing properties: per-tenant metrics are bit-identical across
+// repeated runs (the serial lockstep loop arbitrates every provider grant
+// in (virtual time, tenant index) order), and on unlimited pools each
+// tenant's federated run matches the same tenant simulated alone — the
+// loop couples tenants only through finite-pool contention. The scenario
+// tests additionally pin the market behaviors (denials under exhausted
+// pools, spot preemptions) actually engaging.
 
 #include "src/sim/federation.h"
 
@@ -93,43 +94,35 @@ void ExpectBitIdentical(const SimulationMetrics& a, const SimulationMetrics& b) 
   EXPECT_EQ(a.faults.goodput_ratio, b.faults.goodput_ratio);
 }
 
-TEST(FederationTest, DeterministicAcrossRunsAndThreadPoolSizes) {
+TEST(FederationTest, DeterministicAcrossRuns) {
   const std::vector<FederationTenant> tenants = MakeTenants(25);
   FederationOptions options = ConstrainedSpotOptions();
   // Flight recorders ride along so a determinism regression reports the
   // first diverging round and field, not just mismatched final metrics.
   options.simulator.observability.enabled = true;
-  std::vector<FlightRecorder> flights_first, flights_second, flights_serial;
+  std::vector<FlightRecorder> flights_first, flights_second;
 
-  options.num_threads = 4;
   options.flight_recorders = &flights_first;
   const FederationResult first = RunFederation(tenants, options);
   options.flight_recorders = &flights_second;
   const FederationResult second = RunFederation(tenants, options);
-  options.num_threads = 1;
-  options.flight_recorders = &flights_serial;
-  const FederationResult serial = RunFederation(tenants, options);
 
   ASSERT_EQ(first.tenants.size(), 3u);
   for (std::size_t i = 0; i < first.tenants.size(); ++i) {
     ExpectBitIdentical(first.tenants[i].metrics, second.tenants[i].metrics);
-    ExpectBitIdentical(first.tenants[i].metrics, serial.tenants[i].metrics);
     const auto rerun = DiffFirstDivergence(flights_first[i], flights_second[i]);
     EXPECT_FALSE(rerun.has_value())
         << "tenant " << i << " re-run divergence: " << rerun->ToString();
-    const auto pools = DiffFirstDivergence(flights_first[i], flights_serial[i]);
-    EXPECT_FALSE(pools.has_value())
-        << "tenant " << i << " pool-size divergence: " << pools->ToString();
     EXPECT_GT(flights_first[i].rounds_recorded(), 0) << "tenant " << i;
   }
   for (std::size_t f = 0; f < static_cast<std::size_t>(kNumInstanceFamilies); ++f) {
-    EXPECT_EQ(first.provider.families[f].granted, serial.provider.families[f].granted);
-    EXPECT_EQ(first.provider.families[f].denied, serial.provider.families[f].denied);
-    EXPECT_EQ(first.provider.families[f].preempted, serial.provider.families[f].preempted);
+    EXPECT_EQ(first.provider.families[f].granted, second.provider.families[f].granted);
+    EXPECT_EQ(first.provider.families[f].denied, second.provider.families[f].denied);
+    EXPECT_EQ(first.provider.families[f].preempted, second.provider.families[f].preempted);
     EXPECT_EQ(first.provider.families[f].peak_in_use,
-              serial.provider.families[f].peak_in_use);
+              second.provider.families[f].peak_in_use);
     EXPECT_EQ(first.provider.families[f].instance_hours,
-              serial.provider.families[f].instance_hours);
+              second.provider.families[f].instance_hours);
   }
 }
 
@@ -190,7 +183,6 @@ TEST(FederationTest, SingleTenantPassThroughMatchesPlainRun) {
   tenant.trace = trace;
   tenant.kind = SchedulerKind::kEva;
   FederationOptions options;  // Provider defaults: unlimited, on-demand only.
-  options.num_threads = 2;
   const FederationResult federated = RunFederation({tenant}, options);
 
   const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
@@ -206,11 +198,10 @@ TEST(FederationTest, SingleTenantPassThroughMatchesPlainRun) {
   EXPECT_EQ(federated.tenants[0].metrics.spot_cost, 0.0);
 }
 
-// The conflict-grouped round phase at production tenant counts: 100 tenants
-// sharing finite P3/R7i pools and an unlimited C7i pool (the concurrent-
-// grant path plus the swept-peak accounting) must be bit-identical across
-// pool sizes {1, 2, 8} — the tentpole invariant of the sharded driver.
-TEST(FederationTest, PoolSizeDeterminismAtOneHundredTenants) {
+// The lockstep loop at production tenant counts: 100 tenants sharing finite
+// P3/R7i pools and an unlimited C7i pool (the swept-peak accounting) must
+// be bit-identical across repeated runs.
+TEST(FederationTest, DeterministicAcrossRunsAtOneHundredTenants) {
   AlibabaTraceOptions base_options;
   base_options.num_jobs = 2000;
   base_options.seed = 17;
@@ -221,8 +212,8 @@ TEST(FederationTest, PoolSizeDeterminismAtOneHundredTenants) {
 
   FederationOptions options;
   options.provider.enabled = true;
-  // Finite P3/R7i shards (contended, serialized per group) + unlimited C7i
-  // (concurrent grants, peak via the finalize sweep).
+  // Finite, contended P3/R7i pools + unlimited C7i (peak via the finalize
+  // sweep).
   options.provider.family_capacity = {40, -1, 30};
   options.provider.spot.enabled = true;
   options.provider.spot.price_step_s = 900.0;
@@ -230,43 +221,32 @@ TEST(FederationTest, PoolSizeDeterminismAtOneHundredTenants) {
   options.provider.spot.seed = 4242;
   options.simulator.seed = 5;
 
-  options.num_threads = 1;
   const FederationResult one = RunFederation(tenants, options);
-  options.num_threads = 2;
   const FederationResult two = RunFederation(tenants, options);
-  options.num_threads = 8;
-  const FederationResult eight = RunFederation(tenants, options);
 
   ASSERT_EQ(one.tenants.size(), 100u);
   for (std::size_t i = 0; i < one.tenants.size(); ++i) {
     ExpectBitIdentical(one.tenants[i].metrics, two.tenants[i].metrics);
-    ExpectBitIdentical(one.tenants[i].metrics, eight.tenants[i].metrics);
   }
-  for (const FederationResult* other : {&two, &eight}) {
-    for (std::size_t f = 0; f < static_cast<std::size_t>(kNumInstanceFamilies); ++f) {
-      EXPECT_EQ(one.provider.families[f].granted, other->provider.families[f].granted);
-      EXPECT_EQ(one.provider.families[f].denied, other->provider.families[f].denied);
-      EXPECT_EQ(one.provider.families[f].preempted,
-                other->provider.families[f].preempted);
-      EXPECT_EQ(one.provider.families[f].released, other->provider.families[f].released);
-      EXPECT_EQ(one.provider.families[f].peak_in_use,
-                other->provider.families[f].peak_in_use);
-      EXPECT_EQ(one.provider.families[f].instance_hours,
-                other->provider.families[f].instance_hours);
-    }
+  for (std::size_t f = 0; f < static_cast<std::size_t>(kNumInstanceFamilies); ++f) {
+    EXPECT_EQ(one.provider.families[f].granted, two.provider.families[f].granted);
+    EXPECT_EQ(one.provider.families[f].denied, two.provider.families[f].denied);
+    EXPECT_EQ(one.provider.families[f].preempted, two.provider.families[f].preempted);
+    EXPECT_EQ(one.provider.families[f].released, two.provider.families[f].released);
+    EXPECT_EQ(one.provider.families[f].peak_in_use, two.provider.families[f].peak_in_use);
+    EXPECT_EQ(one.provider.families[f].instance_hours,
+              two.provider.families[f].instance_hours);
   }
-  // Sanity: the scenario actually contends and actually parallelizes.
+  // Sanity: the scenario actually contends.
   EXPECT_GT(one.provider.TotalDenied(), 0);
-  EXPECT_GT(one.stats.round_groups, one.stats.barriers);  // >1 group somewhere.
 }
 
-// The fault-injection tentpole invariant: with the deterministic fault
-// model on (zone outages, correlated bursts, maintenance drains all
-// engaging against the shared provider), the 100-tenant federation must
-// still be bit-identical across pool sizes {1, 2, 8} — fault kills in the
-// parallel phase only release capacity (commutative per shard), the outage
-// capacity clamp is a pure function of time consulted at the serialized
-// acquire, and every fault schedule is a pure hash of (seed, kind, step).
+// The fault-injection invariant: with the deterministic fault model on
+// (zone outages, correlated bursts, maintenance drains all engaging
+// against the shared provider), the 100-tenant federation must still be
+// bit-identical across repeated runs — the outage capacity clamp is a pure
+// function of time consulted at acquire, and every fault schedule is a
+// pure hash of (seed, kind, step).
 TEST(FederationTest, FaultInjectionDeterministicAtOneHundredTenants) {
   AlibabaTraceOptions base_options;
   base_options.num_jobs = 2000;
@@ -287,19 +267,14 @@ TEST(FederationTest, FaultInjectionDeterministicAtOneHundredTenants) {
   options.simulator.faults.enabled = true;
   options.simulator.faults.seed = 97;
 
-  options.num_threads = 1;
   const FederationResult one = RunFederation(tenants, options);
-  options.num_threads = 2;
   const FederationResult two = RunFederation(tenants, options);
-  options.num_threads = 8;
-  const FederationResult eight = RunFederation(tenants, options);
 
   ASSERT_EQ(one.tenants.size(), 100u);
   std::int64_t fault_events = 0;
   std::int64_t replacements = 0;
   for (std::size_t i = 0; i < one.tenants.size(); ++i) {
     ExpectBitIdentical(one.tenants[i].metrics, two.tenants[i].metrics);
-    ExpectBitIdentical(one.tenants[i].metrics, eight.tenants[i].metrics);
     const FaultStats& faults = one.tenants[i].metrics.faults;
     fault_events +=
         faults.zone_outages + faults.correlated_failures + faults.maintenance_drains;
@@ -307,20 +282,15 @@ TEST(FederationTest, FaultInjectionDeterministicAtOneHundredTenants) {
     EXPECT_GE(faults.goodput_ratio, 0.0);
     EXPECT_LE(faults.goodput_ratio, 1.0);
   }
-  for (const FederationResult* other : {&two, &eight}) {
-    for (std::size_t f = 0; f < static_cast<std::size_t>(kNumInstanceFamilies); ++f) {
-      EXPECT_EQ(one.provider.families[f].granted, other->provider.families[f].granted);
-      EXPECT_EQ(one.provider.families[f].denied, other->provider.families[f].denied);
-      EXPECT_EQ(one.provider.families[f].fault_denied,
-                other->provider.families[f].fault_denied);
-      EXPECT_EQ(one.provider.families[f].preempted,
-                other->provider.families[f].preempted);
-      EXPECT_EQ(one.provider.families[f].released, other->provider.families[f].released);
-      EXPECT_EQ(one.provider.families[f].peak_in_use,
-                other->provider.families[f].peak_in_use);
-      EXPECT_EQ(one.provider.families[f].instance_hours,
-                other->provider.families[f].instance_hours);
-    }
+  for (std::size_t f = 0; f < static_cast<std::size_t>(kNumInstanceFamilies); ++f) {
+    EXPECT_EQ(one.provider.families[f].granted, two.provider.families[f].granted);
+    EXPECT_EQ(one.provider.families[f].denied, two.provider.families[f].denied);
+    EXPECT_EQ(one.provider.families[f].fault_denied, two.provider.families[f].fault_denied);
+    EXPECT_EQ(one.provider.families[f].preempted, two.provider.families[f].preempted);
+    EXPECT_EQ(one.provider.families[f].released, two.provider.families[f].released);
+    EXPECT_EQ(one.provider.families[f].peak_in_use, two.provider.families[f].peak_in_use);
+    EXPECT_EQ(one.provider.families[f].instance_hours,
+              two.provider.families[f].instance_hours);
   }
   // The scenario is not vacuous: faults fired, tasks were re-placed, the
   // outage clamp denied at least one acquire, and every tenant still
@@ -338,10 +308,10 @@ TEST(FederationTest, FaultInjectionDeterministicAtOneHundredTenants) {
   }
 }
 
-// Two tenants racing the single slot of one family shard: the grouped phase
-// must arbitrate the grant in tenant-index order, every time, at every pool
-// size. Demands carry GPUs on both vectors, so only the P3 family fits and
-// the two tenants provably share that shard.
+// Two tenants racing the single slot of one family pool: the round phase
+// must arbitrate the grant in tenant-index order. Demands carry GPUs on
+// both vectors, so only the P3 family fits and the two tenants provably
+// share that pool.
 TEST(FederationTest, ContendedShardGrantsArbitrateInTenantOrder) {
   const auto gpu_job = [] {
     JobSpec job = JobSpec::FromWorkload(/*id=*/0, /*arrival_time_s=*/0.0,
@@ -362,54 +332,40 @@ TEST(FederationTest, ContendedShardGrantsArbitrateInTenantOrder) {
   options.provider.enabled = true;
   options.provider.family_capacity = {1, -1, -1};  // One P3 slot for two tenants.
 
-  options.num_threads = 1;
-  const FederationResult serial = RunFederation(tenants, options);
-  options.num_threads = 8;
-  const FederationResult parallel = RunFederation(tenants, options);
-
-  for (const FederationResult* result : {&serial, &parallel}) {
-    ASSERT_EQ(result->tenants.size(), 2u);
-    const SimulationMetrics& winner = result->tenants[0].metrics;
-    const SimulationMetrics& loser = result->tenants[1].metrics;
-    // Tenant 0 wins the t=0 round's only slot; tenant 1 is denied and
-    // retries until the release.
-    EXPECT_EQ(winner.acquisitions_denied, 0);
-    EXPECT_GT(loser.acquisitions_denied, 0);
-    EXPECT_EQ(winner.jobs_completed, 1);
-    EXPECT_EQ(loser.jobs_completed, 1);
-    EXPECT_LT(winner.avg_jct_hours, loser.avg_jct_hours);
-  }
-  ExpectBitIdentical(serial.tenants[0].metrics, parallel.tenants[0].metrics);
-  ExpectBitIdentical(serial.tenants[1].metrics, parallel.tenants[1].metrics);
+  const FederationResult result = RunFederation(tenants, options);
+  ASSERT_EQ(result.tenants.size(), 2u);
+  const SimulationMetrics& winner = result.tenants[0].metrics;
+  const SimulationMetrics& loser = result.tenants[1].metrics;
+  // Tenant 0 wins the t=0 round's only slot; tenant 1 is denied and
+  // retries until the release.
+  EXPECT_EQ(winner.acquisitions_denied, 0);
+  EXPECT_GT(loser.acquisitions_denied, 0);
+  EXPECT_EQ(winner.jobs_completed, 1);
+  EXPECT_EQ(loser.jobs_completed, 1);
+  EXPECT_LT(winner.avg_jct_hours, loser.avg_jct_hours);
 }
 
 // Staggered round offsets: a pure function of (stagger_seed, tenant index),
-// so the same options reproduce bit-identically across runs and pool sizes
-// — and the offsets must actually shift the trajectory vs. the unstaggered
-// run.
+// so the same options reproduce bit-identically across runs — and the
+// offsets must actually shift the trajectory vs. the unstaggered run.
 TEST(FederationTest, StaggerOffsetsAreDeterministic) {
   const std::vector<FederationTenant> tenants = MakeTenants(25);
   FederationOptions options = ConstrainedSpotOptions();
   options.stagger_rounds = true;
   options.stagger_slots = 4;
 
-  options.num_threads = 4;
   const FederationResult first = RunFederation(tenants, options);
   const FederationResult second = RunFederation(tenants, options);
-  options.num_threads = 1;
-  const FederationResult serial = RunFederation(tenants, options);
 
   ASSERT_EQ(first.tenants.size(), 3u);
   for (std::size_t i = 0; i < first.tenants.size(); ++i) {
     ExpectBitIdentical(first.tenants[i].metrics, second.tenants[i].metrics);
-    ExpectBitIdentical(first.tenants[i].metrics, serial.tenants[i].metrics);
   }
 
   // The offsets engaged: some tenant's trajectory differs from the
   // unstaggered run (deterministically — both sides are pure functions of
   // their options).
   options.stagger_rounds = false;
-  options.num_threads = 4;
   const FederationResult unstaggered = RunFederation(tenants, options);
   bool any_difference = false;
   for (std::size_t i = 0; i < first.tenants.size(); ++i) {
@@ -420,6 +376,46 @@ TEST(FederationTest, StaggerOffsetsAreDeterministic) {
                          unstaggered.tenants[i].metrics.scheduling_rounds;
   }
   EXPECT_TRUE(any_difference);
+}
+
+// On unlimited pools the shared provider grants unconditionally, so the
+// lockstep loop must add no coupling between tenants: each tenant's
+// federated metrics equal that tenant simulated alone against a private
+// provider with the same options, seed and tenant id. Checked with the spot
+// tier off and on (shared quote snapshots, per-tenant preemption draws).
+TEST(FederationTest, UnlimitedPoolsMatchIndependentRuns) {
+  const std::vector<FederationTenant> tenants = MakeTenants(25);
+  for (const bool spot : {false, true}) {
+    SCOPED_TRACE(spot ? "spot on" : "spot off");
+    FederationOptions options;
+    options.provider.enabled = true;  // Every pool unlimited.
+    options.provider.spot.enabled = spot;
+    options.provider.spot.price_step_s = 900.0;
+    options.provider.spot.spike_probability = 0.15;
+    options.provider.spot.seed = 4242;
+    options.simulator.seed = 5;
+    const FederationResult federated = RunFederation(tenants, options);
+
+    ASSERT_EQ(federated.tenants.size(), tenants.size());
+    std::int64_t spot_launched = 0;
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+      SimulatorOptions alone = options.simulator;
+      alone.provider = options.provider;
+      alone.seed = options.simulator.seed + i;
+      alone.tenant_id = static_cast<int>(i);
+      SchedulerBundle bundle =
+          MakeScheduler(tenants[i].kind, options.interference, options.eva);
+      const SimulationMetrics independent =
+          RunSimulation(tenants[i].trace, bundle.scheduler.get(), options.catalog,
+                        options.interference, alone);
+      SCOPED_TRACE("tenant " + std::to_string(i));
+      ExpectBitIdentical(federated.tenants[i].metrics, independent);
+      EXPECT_EQ(independent.acquisitions_denied, 0);
+      spot_launched += independent.spot_instances_launched;
+    }
+    // Not vacuous: with the tier on, the tenants actually run spot.
+    EXPECT_EQ(spot_launched > 0, spot);
+  }
 }
 
 // A tenant that trips max_sim_time_s aborts mid-run with its round event
