@@ -13,9 +13,8 @@
 //   * ScratchLease<T> — a per-(thread, nesting-depth) pooled instance of T.
 //     This generalizes the packing-scratch idiom: a plain `thread_local T`
 //     breaks when leasing code re-enters itself on the same thread with the
-//     outer lease still live (TNRP's set pricing nests a second pointer
-//     scratch; the ThreadPool's helping Wait() can start another task), so
-//     leases are framed by depth. Steady state: zero allocations, and —
+//     outer lease still live (config diffing holds two leases of one
+//     key-list type at once), so leases are framed by depth. Steady state: zero allocations, and —
 //     unlike ad-hoc thread_locals scattered per call site — one audited
 //     mechanism (scratch never carries values between uses; every user
 //     fully rewrites it).

@@ -216,7 +216,7 @@ class IdSet {
 // payload lives in caller-owned storage): `Find`/`Upsert` take any probe
 // the Eq functor can compare against a stored key, plus the precomputed
 // hash. `Hash` re-hashes *stored* keys on growth, so interned keys should
-// embed their hash. Not internally synchronized — callers shard + lock.
+// embed their hash. Not internally synchronized.
 template <typename K, typename V, typename Hash, typename Eq = std::equal_to<K>>
 class FlatMemoMap {
  public:

@@ -42,21 +42,6 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-bool ThreadPool::RunOneQueued(std::unique_lock<std::mutex>& lock) {
-  if (queue_.empty()) {
-    return false;
-  }
-  std::function<void()> task = std::move(queue_.front());
-  queue_.pop_front();
-  lock.unlock();
-  task();
-  lock.lock();
-  if (--in_flight_ == 0) {
-    all_done_.notify_all();
-  }
-  return true;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -77,62 +62,6 @@ void ThreadPool::WorkerLoop() {
       }
     }
   }
-}
-
-void ThreadPool::TaskGroup::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(pool_.mutex_);
-    ++pending_;
-  }
-  pool_.Submit([this, task = std::move(task)] {
-    task();
-    std::lock_guard<std::mutex> lock(pool_.mutex_);
-    if (--pending_ == 0) {
-      pool_.all_done_.notify_all();
-    }
-  });
-}
-
-void ThreadPool::TaskGroup::Wait() {
-  std::unique_lock<std::mutex> lock(pool_.mutex_);
-  while (pending_ > 0) {
-    // Help: drain queued tasks (ours or anyone's) instead of blocking a
-    // thread the group's own tasks may need.
-    if (pool_.RunOneQueued(lock)) {
-      continue;
-    }
-    // Nothing runnable: our remaining tasks are executing on other threads.
-    pool_.all_done_.wait(lock);
-  }
-}
-
-void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
-  const std::size_t threads = static_cast<std::size_t>(num_threads());
-  if (n == 1 || threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  const std::size_t chunks = std::min(n, threads + 1);  // +1: the caller helps.
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  TaskGroup group(*this);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(n, begin + chunk_size);
-    if (begin >= end) {
-      break;
-    }
-    group.Submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) {
-        fn(i);
-      }
-    });
-  }
-  group.Wait();
 }
 
 }  // namespace eva

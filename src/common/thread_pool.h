@@ -6,20 +6,11 @@
 // escaped exceptions, like std::thread does) and must synchronize any shared
 // state themselves; the intended usage is embarrassingly-parallel work that
 // writes to disjoint result slots.
-//
-// TaskGroup tracks one batch of tasks rather than the whole pool, and its
-// Wait() *helps*: while the group is unfinished the waiting thread pops and
-// runs queued pool tasks instead of blocking. That makes nested fan-out safe
-// (a pool task may open its own group and wait on it without deadlocking,
-// even on a single-threaded pool) — the pattern the scheduler decision path
-// uses to evaluate Full and Partial Reconfiguration concurrently while each
-// parallelizes its inner loops on the same pool.
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -49,38 +40,8 @@ class ThreadPool {
   // Hardware concurrency, at least 1.
   static int DefaultThreads();
 
-  // One batch of tasks. Submit from any thread; Wait until exactly this
-  // batch is done. Destroying an unwaited group waits first.
-  class TaskGroup {
-   public:
-    explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-    ~TaskGroup() { Wait(); }
-
-    TaskGroup(const TaskGroup&) = delete;
-    TaskGroup& operator=(const TaskGroup&) = delete;
-
-    void Submit(std::function<void()> task);
-
-    // Runs queued pool tasks (any group's) while this group is unfinished,
-    // then returns. Safe to call from inside a pool task.
-    void Wait();
-
-   private:
-    friend class ThreadPool;
-
-    ThreadPool& pool_;
-    int pending_ = 0;  // Guarded by pool_.mutex_.
-  };
-
-  // Runs fn(i) for i in [0, n) across the pool, helping from the calling
-  // thread, and blocks until all iterations finish. Iterations are chunked
-  // contiguously; fn must tolerate concurrent invocation on distinct i.
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
-
  private:
   void WorkerLoop();
-  // Pops and runs one queued task if any; returns false when queue empty.
-  bool RunOneQueued(std::unique_lock<std::mutex>& lock);
 
   std::mutex mutex_;
   std::condition_variable work_available_;

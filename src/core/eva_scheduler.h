@@ -10,8 +10,10 @@
 // Eva-Single (multi-task-oblivious), Eva w/o Full Reconfig, and Full-only.
 //
 // The decision path is delta-incremental across rounds, bit-identically:
-//   * one persistent TnrpCalculator memoizes RP and TNRP across rounds,
-//     invalidated per workload row by new throughput observations;
+//   * one persistent TnrpCalculator memoizes RPs (refreshed when the
+//     catalog changes) and throughput factors keyed on workloads
+//     (invalidated per workload row by new throughput observations) across
+//     rounds, and prices TNRP from them;
 //   * a round memo replays the previous round's candidate configurations
 //     (and, in ensemble mode, their savings/migration prices) verbatim when
 //     nothing decision-relevant changed — the common quiescent round.

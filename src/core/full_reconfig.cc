@@ -27,6 +27,7 @@ struct PackScratch {
   std::vector<bool> in_tentative_set;
   std::vector<const TaskInfo*> members;
   std::vector<std::size_t> member_indices;
+  std::vector<const TaskInfo*> joined;  // members + one candidate slot.
 };
 
 // Caller-facing entry points' pool-building scratch.
@@ -36,19 +37,24 @@ struct PoolScratch {
 
 // Argmax over the pool: the unassigned, fitting task whose addition
 // maximizes TNRP(members + {task}); earliest index wins exact ties (the `>`
-// below).
+// below). `joined` is scratch: the members plus a last slot each candidate
+// overwrites.
 ArgmaxResult ScanCandidates(const std::vector<const TaskInfo*>& pool,
                             const std::vector<bool>& assigned,
                             const std::vector<bool>& in_tentative_set,
                             const std::vector<const TaskInfo*>& members,
                             const InstanceType& type, const ResourceVector& used,
-                            const TnrpCalculator& calculator) {
+                            const TnrpCalculator& calculator,
+                            std::vector<const TaskInfo*>& joined) {
+  joined.assign(members.begin(), members.end());
+  joined.push_back(nullptr);
   ArgmaxResult best;
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (assigned[i] || in_tentative_set[i] || !Fits(*pool[i], type, used)) {
       continue;
     }
-    const Money tnrp = calculator.SetTnrpPlusOne(members, *pool[i], type.family);
+    joined.back() = pool[i];
+    const Money tnrp = calculator.SetTnrp(joined, type.family);
     if (best.candidate < 0 || tnrp > best.tnrp) {
       best.candidate = static_cast<int>(i);
       best.tnrp = tnrp;
@@ -100,7 +106,7 @@ void PackByReservationPriceInto(const SchedulingContext& context,
       while (true) {
         // Pick the unassigned, fitting task that maximizes TNRP(T + {tau}).
         const ArgmaxResult best = ScanCandidates(pool, assigned, in_tentative_set, members,
-                                                 type, used, calculator);
+                                                 type, used, calculator, scratch->joined);
         const int best_candidate = best.candidate;
         const Money best_candidate_tnrp = best.tnrp;
         if (best_candidate < 0) {

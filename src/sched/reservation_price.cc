@@ -10,9 +10,7 @@ namespace eva {
 namespace {
 
 // Per-(thread, depth) leased scratch (see common/arena.h) for the TNRP
-// paths. The depth frames matter: SetTnrpPlusOne's miss path holds a
-// TaskPtrScratch lease for the joined set while ComputeSetTnrp leases
-// another frame for each member's partner list.
+// paths.
 struct TaskPtrScratch {
   std::vector<const TaskInfo*> ptrs;
 };
@@ -27,19 +25,10 @@ struct SortScratch {
 
 }  // namespace
 
-std::size_t TnrpCalculator::TnrpKeyHash::operator()(const TnrpKey& key) const {
-  const std::size_t seed = HashCombine(static_cast<std::size_t>(key.task),
-                                       static_cast<std::size_t>(key.family) + 0x7f +
-                                           (static_cast<std::size_t>(key.count) << 8));
+std::size_t TnrpCalculator::TputKeyHash::operator()(const TputKey& key) const {
+  const std::size_t seed = HashCombine(static_cast<std::size_t>(key.workload),
+                                       static_cast<std::size_t>(key.count));
   return HashCombine(seed, static_cast<std::size_t>(key.packed));
-}
-
-std::size_t TnrpCalculator::SetHashSeed(int family) {
-  return HashCombine(0x5e74c0de, static_cast<std::size_t>(family) + 0x7f);
-}
-
-std::size_t TnrpCalculator::SetHashExtend(std::size_t seed, TaskId member) {
-  return HashCombine(seed, static_cast<std::size_t>(member));
 }
 
 TnrpCalculator::TnrpCalculator(const SchedulingContext& context, Options options,
@@ -71,45 +60,24 @@ void TnrpCalculator::GrowRpFlat() {
 
 void TnrpCalculator::Rebind(const SchedulingContext& context,
                             const ThroughputEstimator* estimator) {
-  const bool catalog_changed = context.catalog != bound_catalog_;
   const ThroughputEstimator* previous = this->estimator();
   context_ = &context;
   estimator_ = estimator;
-  bound_catalog_ = context.catalog;
-  const bool estimator_changed = this->estimator() != previous;
-  if (catalog_changed) {
+  if (context.catalog != bound_catalog_) {
+    // RPs are catalog prices; the throughput memo holds none, so a new
+    // quote snapshot (a spot price step) leaves it valid.
+    bound_catalog_ = context.catalog;
     rp_cache_.clear();
     std::fill(rp_flat_filled_.begin(), rp_flat_filled_.end(), 0);
   }
   GrowRpFlat();
-  if (catalog_changed || estimator_changed) {
-    // TNRP values embed both RPs (catalog-derived) and throughput estimates;
-    // version stamps only track mutations of the *same* estimator object.
-    for (TnrpShard& shard : tnrp_shards_) {
-      shard.Clear();
-    }
-    for (SetShard& shard : set_shards_) {
-      shard.cache.Clear();
-      shard.blob.clear();
-    }
-  }
-  // Memory aging for long traces: entries for retired tasks (and version-
-  // invalidated estimates) are never evicted individually, so on 100k-job
-  // runs the memo maps would grow with the whole trace. Dropping a shard
-  // that outgrows the bound keeps memory O(working set); caches only affect
-  // speed, never values, so results are unchanged — and the bound is
-  // deterministic, so the decision trajectory stays reproducible.
-  constexpr std::size_t kMaxCachedEntriesPerShard = std::size_t{1} << 16;
-  for (TnrpShard& shard : tnrp_shards_) {
-    if (shard.size() > kMaxCachedEntriesPerShard) {
-      shard.Clear();
-    }
-  }
-  for (SetShard& shard : set_shards_) {
-    if (shard.cache.size() > kMaxCachedEntriesPerShard) {
-      shard.cache.Clear();
-      shard.blob.clear();
-    }
+  // Row versions only track mutations of the *same* estimator object. The
+  // size bound keeps memory O(working set) on long traces (superseded
+  // entries are overwritten in place, never evicted); it is deterministic
+  // and the memo only affects speed, so results are unchanged.
+  constexpr std::size_t kMaxTputEntries = std::size_t{1} << 20;
+  if (this->estimator() != previous || tput_memo_.size() > kMaxTputEntries) {
+    tput_memo_.Clear();
   }
 }
 
@@ -167,41 +135,48 @@ Money TnrpCalculator::ReservationPrice(const TaskInfo& task) const {
   return RpEntryFor(task).rp;
 }
 
-Money TnrpCalculator::ComputeTnrp(const TaskInfo& task,
-                                  const std::vector<WorkloadId>& partner_workloads,
-                                  Money rp, int job_size) const {
+double TnrpCalculator::Throughput(const TaskInfo& task,
+                                  const std::vector<const TaskInfo*>& partners) const {
   const ThroughputEstimator* throughput = estimator();
-  const double tput =
-      throughput != nullptr ? throughput->Estimate(task.workload, partner_workloads) : 1.0;
-  if (!options_.multi_task_aware || job_size <= 1) {
-    return tput * rp;
+  if (throughput == nullptr) {
+    return 1.0;
   }
-  // §4.4: the straggler effect propagates to every sibling; charge the full
-  // job-level loss to this placement. All tasks of a job share demands, so
-  // each sibling's RP equals this task's.
-  return rp - static_cast<double>(job_size) * (1.0 - tput) * rp;
-}
-
-Money TnrpCalculator::TaskTnrpOne(const TaskInfo& task, const TaskInfo& partner,
-                                  std::optional<InstanceFamily> family) const {
-  // Mirrors TaskTnrp's operation sequence exactly; see that function.
-  const double speedup = family.has_value() ? task.SpeedupOn(*family) : 1.0;
-  const RpEntry entry = RpEntryFor(task);
-  return TaskTnrpOneImpl(task, partner, entry.rp * speedup, entry.job_size);
-}
-
-Money TnrpCalculator::TaskTnrpOneImpl(const TaskInfo& task, const TaskInfo& partner,
-                                      Money rp, int job_size) const {
-  if (!options_.interference_aware) {
-    return rp;
+  const auto estimate = [&] {
+    ScratchLease<WorkloadScratch> scratch;
+    std::vector<WorkloadId>& partner_workloads = scratch->workloads;
+    partner_workloads.clear();
+    for (const TaskInfo* partner : partners) {
+      partner_workloads.push_back(partner->workload);
+    }
+    return throughput->Estimate(task.workload, partner_workloads);
+  };
+  // The estimate is a pure function of (workload, partner workload
+  // sequence) until the workload's row version moves. The key keeps the
+  // caller's partner ORDER (see kMaxPackedPartners).
+  TputKey key;
+  key.workload = task.workload;
+  key.count = static_cast<std::uint32_t>(partners.size());
+  bool packable = partners.size() <= kMaxPackedPartners;
+  for (const TaskInfo* partner : partners) {
+    packable = packable && partner->workload >= 0 && partner->workload < kMaxPackedWorkload;
+    key.packed = (key.packed << 7) | static_cast<std::uint64_t>(partner->workload & 0x7f);
   }
-  // Audited exception to the ScratchLease rule: this is the hottest TNRP
-  // leaf (every pairwise fold), the buffer is written immediately before
-  // its only use, and no call between the write and ComputeTnrp can re-enter
-  // this function — so a plain thread_local cannot be clobbered mid-use.
-  thread_local std::vector<WorkloadId> one(1);
-  one[0] = partner.workload;
-  return ComputeTnrp(task, one, rp, job_size);
+  if (!packable) {
+    return estimate();
+  }
+  const std::uint64_t row_version = throughput->RowVersion(task.workload);
+  bool inserted = false;
+  TputEntry& entry = tput_memo_.Upsert(key, TputKeyHash()(key), [&] {
+    inserted = true;
+    return key;
+  });
+  if (!inserted && entry.row_version == row_version) {
+    ++cache_stats_.tput_hits;
+    return entry.tput;
+  }
+  ++cache_stats_.tput_misses;
+  entry = {estimate(), row_version};
+  return entry.tput;
 }
 
 Money TnrpCalculator::TaskTnrp(const TaskInfo& task,
@@ -213,176 +188,31 @@ Money TnrpCalculator::TaskTnrp(const TaskInfo& task,
   if (!options_.interference_aware || partners.empty()) {
     return rp;
   }
-  if (partners.size() == 1) {
-    // Single-partner TNRP: the pairwise-grid estimate is cheaper than the
-    // memo probe it would otherwise pay for; values are identical (the
-    // memoized entry stores exactly this computation's result). The shared
-    // impl reuses the RP entry this function already fetched.
-    return TaskTnrpOneImpl(task, *partners.front(), rp, entry.job_size);
+  const double tput = Throughput(task, partners);
+  if (!options_.multi_task_aware || entry.job_size <= 1) {
+    return tput * rp;
   }
-  // Memoized path: the value is a pure function of (task, partner workload
-  // sequence, family) given the estimator's current estimates for the
-  // task's workload, which the row version captures. The key preserves the
-  // caller's partner ORDER (see TnrpKey); recurring call sites present
-  // partners in stable orders, so ordered keys still hit. The workload
-  // scratch is leased per (thread, depth): nothing allocates on a hit.
-  ScratchLease<WorkloadScratch> workload_scratch;
-  std::vector<WorkloadId>& partner_workloads = workload_scratch->workloads;
-  partner_workloads.clear();
-  partner_workloads.reserve(partners.size());
-  TnrpKey key;
-  key.task = task.id;
-  key.family = family.has_value() ? static_cast<int>(*family) : -1;
-  key.count = static_cast<std::uint32_t>(partners.size());
-  bool packable = partners.size() <= kMaxPackedPartners;
-  for (const TaskInfo* partner : partners) {
-    partner_workloads.push_back(partner->workload);
-    packable = packable && partner->workload >= 0 && partner->workload < kMaxPackedWorkload;
-    key.packed = (key.packed << 7) | static_cast<std::uint64_t>(partner->workload & 0x7f);
-  }
-  if (!packable) {
-    // Outside the packed-key envelope: compute uncached, identical value.
-    return ComputeTnrp(task, partner_workloads, rp, entry.job_size);
-  }
-  const ThroughputEstimator* throughput = estimator();
-  const std::uint64_t row_version =
-      throughput != nullptr ? throughput->RowVersion(task.workload) : 0;
-
-  // Shard selection is deliberately cheaper than the map's own hash (which
-  // find() recomputes anyway): any partition works, values are unaffected.
-  TnrpShard& shard =
-      tnrp_shards_[static_cast<std::size_t>(task.id) % kNumShards];
-  const std::size_t key_hash = TnrpKeyHash()(key);
-  const TnrpEntry* cached = shard.Find(key, key_hash);
-  if (cached != nullptr && cached->row_version == row_version) {
-    ++cache_stats_.tnrp_hits;
-    return cached->value;
-  }
-  const Money value = ComputeTnrp(task, partner_workloads, rp, entry.job_size);
-  ++cache_stats_.tnrp_misses;
-  shard.Upsert(key, key_hash, [&] { return key; }) = {value, row_version};
-  return value;
-}
-
-Money TnrpCalculator::ComputeSetTnrp(const std::vector<const TaskInfo*>& tasks,
-                                     std::optional<InstanceFamily> family) const {
-  Money total = 0.0;
-  ScratchLease<TaskPtrScratch> partner_scratch;
-  std::vector<const TaskInfo*>& partners = partner_scratch->ptrs;
-  partners.clear();
-  partners.reserve(tasks.size());
-  for (const TaskInfo* task : tasks) {
-    partners.clear();
-    for (const TaskInfo* other : tasks) {
-      if (other != task) {
-        partners.push_back(other);
-      }
-    }
-    total += TaskTnrp(*task, partners, family);
-  }
-  return total;
-}
-
-template <typename ComputeFn>
-Money TnrpCalculator::CachedSetTnrp(const SetKey& key, std::uint64_t row_sum,
-                                    const ComputeFn& compute) const {
-  // `key` is typically a thread-local scratch: it is only copied into the
-  // cache on a miss, so the hit path allocates nothing. The shard selector
-  // is cheaper than the map hash (recomputed by find() regardless).
-  SetShard& shard = set_shards_[static_cast<std::size_t>(
-                                    key.members.front() + key.members.size()) %
-                                kNumShards];
-  const SetEntry* cached = shard.cache.Find(key, key.hash);
-  if (cached != nullptr && cached->row_sum == row_sum) {
-    ++cache_stats_.set_hits;
-    return cached->value;
-  }
-  const Money value = compute();
-  ++cache_stats_.set_misses;
-  shard.cache.Upsert(key, key.hash, [&] {
-    // First insertion of this set: intern the member sequence.
-    StoredSetKey stored;
-    stored.hash = key.hash;
-    stored.family = key.family;
-    stored.offset = shard.blob.size();
-    stored.count = static_cast<std::uint32_t>(key.members.size());
-    shard.blob.insert(shard.blob.end(), key.members.begin(), key.members.end());
-    return stored;
-  }) = {value, row_sum};
-  return value;
+  // §4.4: the straggler effect propagates to every sibling; charge the full
+  // job-level loss to this placement. All tasks of a job share demands, so
+  // each sibling's RP equals this task's.
+  return rp - static_cast<double>(entry.job_size) * (1.0 - tput) * rp;
 }
 
 Money TnrpCalculator::SetTnrp(const std::vector<const TaskInfo*>& tasks,
                               std::optional<InstanceFamily> family) const {
-  if (tasks.size() <= 1) {
-    // Singleton and empty sets short-circuit to the (cached) RP path.
-    return tasks.empty() ? 0.0 : TaskTnrp(*tasks.front(), {}, family);
-  }
-  if (tasks.size() == 2) {
-    // Pair sets — the packing's bread and butter — fold directly off the
-    // pairwise grid, skipping the set cache (same member order, same sum).
-    return TaskTnrpOne(*tasks[0], *tasks[1], family) +
-           TaskTnrpOne(*tasks[1], *tasks[0], family);
-  }
-  // Ordered key, for the same bit-exactness reason as TaskTnrp's: the sum
-  // over members is folded in presentation order.
-  const ThroughputEstimator* throughput = estimator();
-  ScratchLease<SetKey> key_lease;
-  SetKey& key = *key_lease;
-  key.family = family.has_value() ? static_cast<int>(*family) : -1;
-  key.hash = SetHashSeed(key.family);
-  key.members.clear();
-  key.members.reserve(tasks.size());
-  std::uint64_t row_sum = 0;
-  for (const TaskInfo* task : tasks) {
-    key.members.push_back(task->id);
-    key.hash = SetHashExtend(key.hash, task->id);
-    if (throughput != nullptr) {
-      row_sum += throughput->RowVersion(task->workload);
+  ScratchLease<TaskPtrScratch> partner_scratch;
+  std::vector<const TaskInfo*>& partners = partner_scratch->ptrs;
+  Money total = 0.0;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    partners.clear();
+    for (std::size_t j = 0; j < tasks.size(); ++j) {
+      if (j != i) {
+        partners.push_back(tasks[j]);
+      }
     }
+    total += TaskTnrp(*tasks[i], partners, family);
   }
-  return CachedSetTnrp(key, row_sum, [&] { return ComputeSetTnrp(tasks, family); });
-}
-
-Money TnrpCalculator::SetTnrpPlusOne(const std::vector<const TaskInfo*>& members,
-                                     const TaskInfo& candidate,
-                                     std::optional<InstanceFamily> family) const {
-  if (members.empty()) {
-    return TaskTnrp(candidate, {}, family);
-  }
-  if (members.size() == 1) {
-    // {member, candidate}: same fold order as ComputeSetTnrp on the joined
-    // set, directly off the pairwise grid.
-    return TaskTnrpOne(*members[0], candidate, family) +
-           TaskTnrpOne(candidate, *members[0], family);
-  }
-  const ThroughputEstimator* throughput = estimator();
-  ScratchLease<SetKey> key_lease;
-  SetKey& key = *key_lease;
-  key.family = family.has_value() ? static_cast<int>(*family) : -1;
-  key.hash = SetHashSeed(key.family);
-  key.members.clear();
-  key.members.reserve(members.size() + 1);
-  std::uint64_t row_sum = 0;
-  for (const TaskInfo* member : members) {
-    key.members.push_back(member->id);
-    key.hash = SetHashExtend(key.hash, member->id);
-    if (throughput != nullptr) {
-      row_sum += throughput->RowVersion(member->workload);
-    }
-  }
-  key.members.push_back(candidate.id);
-  key.hash = SetHashExtend(key.hash, candidate.id);
-  if (throughput != nullptr) {
-    row_sum += throughput->RowVersion(candidate.workload);
-  }
-  return CachedSetTnrp(key, row_sum, [&] {
-    ScratchLease<TaskPtrScratch> joined_scratch;
-    std::vector<const TaskInfo*>& joined = joined_scratch->ptrs;
-    joined.assign(members.begin(), members.end());
-    joined.push_back(&candidate);
-    return ComputeSetTnrp(joined, family);
-  });
+  return total;
 }
 
 Money TnrpCalculator::SetRp(const std::vector<const TaskInfo*>& tasks) const {

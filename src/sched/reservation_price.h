@@ -10,23 +10,24 @@
 // is charged to that placement:
 //   TNRP(tau, T) = RP(tau) - sum_{tau' in job(tau)} (1 - tput_{tau,T}) * RP(tau').
 //
-// The calculator memoizes aggressively so the scheduling decision path can
-// be delta-incremental across rounds:
-//   * RP is cached per task (demands and speedups are immutable per id);
-//   * per-task TNRP is cached per (task, co-location workload multiset,
-//     family), stamped with the throughput estimator's row version at
-//     compute time — entries invalidate themselves exactly when new
-//     observations change the estimates they were derived from.
-// Values are pure functions of their keys, so the caches change speed, never
-// results. A calculator is not thread-safe: one decision prices on one
+// The calculator keeps two memos so the scheduling decision path can reuse
+// work across rounds:
+//   * RP (and job size) per task — demands and speedups are immutable per
+//     id; refreshed whenever the bound catalog changes (a spot price step);
+//   * the throughput factor per (task workload, ordered partner workloads),
+//     stamped with the estimator's row version for the task's workload —
+//     entries invalidate themselves exactly when new observations change
+//     the estimate. The factor holds no price, so a new catalog leaves it
+//     valid, and tasks of one workload share its entries.
+// TNRP itself is recomputed from these two on every call with the same
+// arithmetic an unmemoized evaluation performs, so the memos change speed,
+// never results. A calculator is not thread-safe: one decision prices on one
 // thread. Rebind() points a long-lived calculator at the next round's
-// context while keeping the caches.
+// context while keeping the memos.
 
 #ifndef SRC_SCHED_RESERVATION_PRICE_H_
 #define SRC_SCHED_RESERVATION_PRICE_H_
 
-#include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -53,10 +54,8 @@ class TnrpCalculator {
   struct CacheStats {
     std::uint64_t rp_hits = 0;
     std::uint64_t rp_misses = 0;
-    std::uint64_t tnrp_hits = 0;
-    std::uint64_t tnrp_misses = 0;
-    std::uint64_t set_hits = 0;
-    std::uint64_t set_misses = 0;
+    std::uint64_t tput_hits = 0;
+    std::uint64_t tput_misses = 0;
   };
 
   // `estimator` overrides context.throughput when given — long-lived
@@ -65,13 +64,14 @@ class TnrpCalculator {
   TnrpCalculator(const SchedulingContext& context, Options options,
                  const ThroughputEstimator* estimator = nullptr);
 
-  // Points the calculator at a new context while keeping the memoized
-  // caches — the cross-round fast path. Contract: task and job ids must be
-  // stable identities (the same id always denotes the same demands,
-  // workload, speedups, and job size). The caches are dropped automatically
-  // when the bound catalog or throughput estimator is a different object.
-  // Not thread-safe against concurrent pricing calls; rebind between
-  // rounds, not during one.
+  // Points the calculator at a new context while keeping the memos — the
+  // cross-round fast path. Contract: task and job ids must be stable
+  // identities (the same id always denotes the same demands, workload,
+  // speedups, and job size). A different catalog object refreshes the RP
+  // memo only; a different throughput estimator object drops the throughput
+  // memo (row versions only track mutations of one estimator). Not
+  // thread-safe against concurrent pricing calls; rebind between rounds,
+  // not during one.
   void Rebind(const SchedulingContext& context,
               const ThroughputEstimator* estimator = nullptr);
 
@@ -89,19 +89,11 @@ class TnrpCalculator {
   Money TaskTnrp(const TaskInfo& task, const std::vector<const TaskInfo*>& partners,
                  std::optional<InstanceFamily> family = std::nullopt) const;
 
-  // TNRP of a set of tasks placed together: sum of per-task TNRP where each
-  // task's partners are the other members of the set. Memoized at set
-  // granularity (keyed on the ordered id sequence + family, stamped with
-  // the estimator's global version) on top of the per-task caches, so the
-  // packing's repeated evaluations of recurring sets cost one hash lookup.
+  // TNRP of a set of tasks placed together: the sum, folded in member
+  // order, of each member's TaskTnrp with the other members (in caller
+  // order) as its partners.
   Money SetTnrp(const std::vector<const TaskInfo*>& tasks,
                 std::optional<InstanceFamily> family = std::nullopt) const;
-
-  // SetTnrp(members + {candidate}) without materializing the joined set on
-  // the cache-hit path — the packing argmax's inner-loop shape.
-  Money SetTnrpPlusOne(const std::vector<const TaskInfo*>& members,
-                       const TaskInfo& candidate,
-                       std::optional<InstanceFamily> family = std::nullopt) const;
 
   // Plain reservation-price sum of a set (used by Eva-RP and the
   // cost-efficiency walk-through of §4.2).
@@ -111,117 +103,40 @@ class TnrpCalculator {
   const CacheStats& cache_stats() const { return cache_stats_; }
 
  private:
-  // Each memo is sharded into kNumShards independently grown tables: a
-  // table doubling (or blob regrowth) briefly holds its old and new
-  // storage, and one table per memo read ~11 MiB more peak RSS on a capped
-  // 2k replay.
-  static constexpr std::size_t kNumShards = 16;
-
-  // Partner workloads are packed 7 bits each (Table 7's universe is ten
-  // ids) into one word, *in caller order* — NOT canonicalized: floating-
-  // point folds over the partners are order-sensitive, and cached values
-  // must reproduce an uncached evaluation of the same call bit-for-bit.
-  // The packing is injective for <= kMaxPackedPartners partners with ids
-  // < 128; calls outside that envelope compute uncached (identical values,
-  // no memo). POD keys keep probes at integer hash/compare cost and make
-  // stored entries allocation-free.
+  // Partner workloads are packed 7 bits each into one word *in caller
+  // order* — NOT canonicalized: Estimate's fold over the partners is
+  // order-sensitive in floating point, and a memoized factor must reproduce
+  // an unmemoized evaluation of the same call bit-for-bit. The packing is
+  // injective for <= kMaxPackedPartners partners with ids < 128; calls
+  // outside that envelope compute unmemoized (identical values).
   static constexpr std::size_t kMaxPackedPartners = 8;
   static constexpr WorkloadId kMaxPackedWorkload = 128;
 
-  struct TnrpKey {
-    TaskId task = kInvalidTaskId;
-    std::int32_t family = -1;  // -1 encodes "no family given".
+  struct TputKey {
+    WorkloadId workload = kInvalidWorkloadId;
     std::uint32_t count = 0;
     std::uint64_t packed = 0;
 
-    bool operator==(const TnrpKey& other) const {
-      return task == other.task && family == other.family && count == other.count &&
-             packed == other.packed;
+    bool operator==(const TputKey& other) const {
+      return workload == other.workload && count == other.count && packed == other.packed;
     }
   };
 
-  struct TnrpKeyHash {
-    std::size_t operator()(const TnrpKey& key) const;
+  struct TputKeyHash {
+    std::size_t operator()(const TputKey& key) const;
   };
 
-  struct TnrpEntry {
-    Money value = 0.0;
+  struct TputEntry {
+    double tput = 1.0;
     std::uint64_t row_version = 0;  // Estimator row version at compute time.
   };
 
-  // RP and job size are both immutable per task id, so they share a cache
+  // RP and job size are both immutable per task id, so they share a memo
   // entry (job size feeds the §4.4 multi-task term without re-touching the
-  // context's job index on every TNRP miss).
+  // context's job index on every call).
   struct RpEntry {
     Money rp = 0.0;
     int job_size = 1;
-  };
-
-  // Memo shards live in flat open-addressing tables (FlatMemoMap): the
-  // node-based unordered_maps they replace allocated on every miss — the
-  // single largest allocation source of the 10k/50k sweep. The tables are
-  // lookup-only (never iterated), so the layout change cannot affect any
-  // value or order the scheduler produces.
-  using TnrpShard = FlatMemoMap<TnrpKey, TnrpEntry, TnrpKeyHash>;
-
-  struct SetKey {
-    std::size_t hash = 0;  // Precomputed at key build; the map hash is O(1).
-    int family = -1;
-    std::vector<TaskId> members;  // Caller order (see TnrpKey), candidate last.
-
-    bool operator==(const SetKey& other) const {
-      return hash == other.hash && family == other.family && members == other.members;
-    }
-  };
-
-  // Seeds/extends the incremental SetKey hash (caller-order fold).
-  static std::size_t SetHashSeed(int family);
-  static std::size_t SetHashExtend(std::size_t seed, TaskId member);
-
-  struct SetEntry {
-    Money value = 0.0;
-    // Sum of the members' estimator row versions at compute time. Row
-    // versions are monotonic, so the sum changes exactly when an estimate
-    // any member's TNRP depends on could have — per-set invalidation
-    // instead of flushing everything on every table write.
-    std::uint64_t row_sum = 0;
-  };
-
-  // Stored set-memo key: the member sequence is interned into the shard's
-  // id blob (offset/count), so SetKey — which owns a members vector — is
-  // only ever a caller-side probe/scratch. Inserting an entry appends to
-  // the blob (amortized) instead of copying a vector per stored key.
-  struct StoredSetKey {
-    std::size_t hash = 0;
-    std::size_t offset = 0;
-    std::uint32_t count = 0;
-    std::int32_t family = -1;
-  };
-
-  struct StoredSetKeyHash {
-    std::size_t operator()(const StoredSetKey& key) const { return key.hash; }
-  };
-
-  // Compares an interned key against a probe SetKey; bound to the owning
-  // shard's blob.
-  struct StoredSetKeyEq {
-    const std::vector<TaskId>* blob = nullptr;
-    bool operator()(const StoredSetKey& stored, const SetKey& probe) const {
-      return stored.hash == probe.hash && stored.family == probe.family &&
-             stored.count == probe.members.size() &&
-             std::equal(probe.members.begin(), probe.members.end(),
-                        blob->begin() + static_cast<std::ptrdiff_t>(stored.offset));
-    }
-  };
-
-  struct SetShard {
-    SetShard() = default;
-    SetShard(const SetShard&) = delete;  // `cache` points at `blob`.
-    SetShard& operator=(const SetShard&) = delete;
-
-    std::vector<TaskId> blob;  // Interned member sequences (cleared with cache).
-    FlatMemoMap<StoredSetKey, SetEntry, StoredSetKeyHash, StoredSetKeyEq> cache{
-        StoredSetKeyHash{}, StoredSetKeyEq{&blob}};
   };
 
   const ThroughputEstimator* estimator() const {
@@ -230,29 +145,9 @@ class TnrpCalculator {
 
   RpEntry RpEntryFor(const TaskInfo& task) const;
   Money ComputeReservationPrice(const TaskInfo& task) const;
-
-  // TNRP of `task` co-located with exactly one partner, computed directly:
-  // with the estimator's dense pairwise grid this is cheaper than probing
-  // the TNRP memo, and bit-identical to what a memoized evaluation returns
-  // (same ComputeTnrp call a cache miss would make).
-  Money TaskTnrpOne(const TaskInfo& task, const TaskInfo& partner,
-                    std::optional<InstanceFamily> family) const;
-  // Shared body of TaskTnrpOne and TaskTnrp's single-partner branch; takes
-  // the caller's already-fetched RP and job size so neither path pays a
-  // second RpEntryFor lookup.
-  Money TaskTnrpOneImpl(const TaskInfo& task, const TaskInfo& partner, Money rp,
-                        int job_size) const;
-  Money ComputeTnrp(const TaskInfo& task, const std::vector<WorkloadId>& partner_workloads,
-                    Money rp, int job_size) const;
-  Money ComputeSetTnrp(const std::vector<const TaskInfo*>& tasks,
-                       std::optional<InstanceFamily> family) const;
-  // Shared slow/fast-path body of SetTnrp / SetTnrpPlusOne: looks up the
-  // prepared key (a caller-owned scratch, copied only on miss), computing
-  // via `compute` on miss. `row_sum` is the members' current row-version
-  // sum (see SetEntry).
-  template <typename ComputeFn>
-  Money CachedSetTnrp(const SetKey& key, std::uint64_t row_sum,
-                      const ComputeFn& compute) const;
+  // Estimated throughput of `task` next to `partners` (memoized).
+  double Throughput(const TaskInfo& task,
+                    const std::vector<const TaskInfo*>& partners) const;
 
   // Grows the flat RP cache to cover the bound context's task ids (called
   // from Rebind, between rounds).
@@ -262,13 +157,13 @@ class TnrpCalculator {
   Options options_;
   const ThroughputEstimator* estimator_;
 
-  // Catalog the caches were computed against. Rebind must compare the new
+  // Catalog the RP memo was computed against. Rebind must compare the new
   // context's catalog against this saved value, NOT against
   // context_->catalog: callers (the simulator) refill one context object in
   // place across rounds, so by Rebind time the old object already carries
   // the new catalog pointer and the comparison would always read "same" —
-  // silently keeping RP/TNRP entries priced off a catalog that changed
-  // (the spot tier's per-round quote snapshots).
+  // silently keeping RPs priced off a catalog that changed (the spot tier's
+  // per-step quote snapshots).
   const InstanceCatalog* bound_catalog_ = nullptr;
 
   // Flat RP cache for the dense task-id universe (simulator ids are
@@ -278,8 +173,9 @@ class TnrpCalculator {
   mutable std::vector<RpEntry> rp_flat_;
   mutable std::vector<std::uint8_t> rp_flat_filled_;
   mutable std::unordered_map<TaskId, RpEntry> rp_cache_;
-  mutable std::array<TnrpShard, kNumShards> tnrp_shards_;
-  mutable std::array<SetShard, kNumShards> set_shards_;
+  // Lookup-only flat table (never iterated), so its layout cannot affect
+  // any value or order the scheduler produces.
+  mutable FlatMemoMap<TputKey, TputEntry, TputKeyHash> tput_memo_;
   mutable CacheStats cache_stats_;
 };
 

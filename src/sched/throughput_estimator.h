@@ -31,9 +31,10 @@ class ThroughputEstimator {
   // multiplicity matters). Must return 1.0 when partners is empty.
   virtual double Estimate(WorkloadId w, const std::vector<WorkloadId>& partners) const = 0;
 
-  // Version counters memoizing consumers (TnrpCalculator's TNRP caches) key
-  // their entries on. Version() must change whenever any estimate could
-  // change; RowVersion(w) whenever an Estimate(w, ...) could change.
+  // Version counters memoizing consumers (TnrpCalculator's throughput
+  // memo) key their entries on. Version() must change whenever any
+  // estimate could change; RowVersion(w) whenever an Estimate(w, ...)
+  // could change.
   // Immutable estimators (the oracle, a frozen profile) keep both at 0,
   // which marks cached values as valid forever.
   virtual std::uint64_t Version() const { return 0; }

@@ -150,10 +150,10 @@ TEST(FlatMemoMapTest, MatchesUnorderedMapUnderRandomChurn) {
   }
 }
 
-// The heterogeneous-probe contract the TNRP set memo relies on: stored
-// keys intern their payload in caller-owned storage, probes carry the
-// expensive form, and the Eq functor bridges the two. The stored key must
-// be materialized exactly once per distinct probe.
+// The heterogeneous-probe contract: stored keys intern their payload in
+// caller-owned storage, probes carry the expensive form, and the Eq functor
+// bridges the two. The stored key must be materialized exactly once per
+// distinct probe.
 TEST(FlatMemoMapTest, HeterogeneousProbeInternsKeyOncePerEntry) {
   struct Stored {
     std::size_t hash = 0;

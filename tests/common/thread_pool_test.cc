@@ -63,67 +63,5 @@ TEST(ThreadPoolTest, DefaultsToHardwareConcurrency) {
   EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultThreads());
 }
 
-TEST(TaskGroupTest, WaitCoversExactlyThisGroup) {
-  ThreadPool pool(2);
-  std::atomic<int> group_counter{0};
-  std::atomic<int> other_counter{0};
-  // A slow unrelated task must not be waited on by the group.
-  pool.Submit([&other_counter] { other_counter.fetch_add(1); });
-  ThreadPool::TaskGroup group(pool);
-  for (int i = 0; i < 32; ++i) {
-    group.Submit([&group_counter] { group_counter.fetch_add(1); });
-  }
-  group.Wait();
-  EXPECT_EQ(group_counter.load(), 32);
-  pool.Wait();
-  EXPECT_EQ(other_counter.load(), 1);
-}
-
-TEST(TaskGroupTest, NestedGroupsOnSingleThreadedPoolDoNotDeadlock) {
-  // The outer task waits on an inner group from inside the pool's only
-  // worker; the helping Wait must run the inner tasks itself.
-  ThreadPool pool(1);
-  std::atomic<int> inner_done{0};
-  ThreadPool::TaskGroup outer(pool);
-  outer.Submit([&pool, &inner_done] {
-    ThreadPool::TaskGroup inner(pool);
-    for (int i = 0; i < 8; ++i) {
-      inner.Submit([&inner_done] { inner_done.fetch_add(1); });
-    }
-    inner.Wait();
-  });
-  outer.Wait();
-  EXPECT_EQ(inner_done.load(), 8);
-}
-
-TEST(TaskGroupTest, WaitFromNonPoolThreadHelps) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  ThreadPool::TaskGroup group(pool);
-  for (int i = 0; i < 64; ++i) {
-    group.Submit([&counter] { counter.fetch_add(1); });
-  }
-  group.Wait();  // The calling thread should drain part of the queue itself.
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(101);
-  pool.ParallelFor(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& hit : hits) {
-    EXPECT_EQ(hit.load(), 1);
-  }
-}
-
-TEST(ParallelForTest, ZeroAndOneIterations) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(0, [&calls](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.ParallelFor(1, [&calls](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 1);
-}
-
 }  // namespace
 }  // namespace eva

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -191,12 +192,42 @@ TEST(ThroughputTableVersionTest, RecordBumpsOnlyOnValueChange) {
   EXPECT_GT(table.Version(), v1);
 }
 
-// Satellite: memoized TNRP equals a freshly constructed calculator after
-// arbitrary sequences of job arrival / completion / observation deltas. The
-// persistent calculator Rebind()s across rounds and must invalidate exactly
-// the entries the deltas touched.
+// TNRP of `set` folded by hand: each member's RP (times its speedup on
+// `family`) scaled by the estimator's throughput next to the other members
+// in caller order, with the §4.4 job-size charge, summed in member order.
+Money HandFoldSetTnrp(const SchedulingContext& context, const TnrpCalculator& fresh,
+                      const ThroughputEstimator& estimator,
+                      const std::vector<const TaskInfo*>& set,
+                      std::optional<InstanceFamily> family) {
+  Money total = 0.0;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    const TaskInfo& task = *set[i];
+    const Money rp =
+        fresh.ReservationPrice(task) * (family.has_value() ? task.SpeedupOn(*family) : 1.0);
+    std::vector<WorkloadId> partners;
+    for (std::size_t j = 0; j < set.size(); ++j) {
+      if (j != i) {
+        partners.push_back(set[j]->workload);
+      }
+    }
+    const double tput = estimator.Estimate(task.workload, partners);
+    const int job_size = context.JobSize(task.job);
+    total += job_size <= 1 ? tput * rp
+                           : rp - static_cast<double>(job_size) * (1.0 - tput) * rp;
+  }
+  return total;
+}
+
+// Memoized TNRP equals a freshly constructed calculator after arbitrary
+// sequences of job arrival / completion / observation deltas and spot price
+// steps. The persistent calculator Rebind()s across rounds and must
+// invalidate exactly the entries the deltas touched.
 TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
-  const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
+  // Every round prices off a fresh catalog object with rescaled prices, as a
+  // spot price step does. Catalogs stay alive: the calculator tells them
+  // apart by identity.
+  std::deque<InstanceCatalog> catalogs;
+  catalogs.push_back(InstanceCatalog::AwsDefault());
   Rng rng(1234);
 
   ThroughputTable table(0.95);
@@ -209,7 +240,7 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
   SchedulingContext context;
   const auto rebuild_context = [&] {
     context = SchedulingContext();
-    context.catalog = &catalog;
+    context.catalog = &catalogs.back();
     context.throughput = &table;
     context.tasks = live;
     context.Finalize();
@@ -217,13 +248,25 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
   rebuild_context();
   TnrpCalculator memoized(context, {});
 
+  const auto random_workload = [&] {
+    return static_cast<WorkloadId>(
+        rng.UniformInt(0, WorkloadRegistry::NumWorkloads() - 1));
+  };
+  // A workload of a live task when there is one, so exact multiset entries
+  // land on co-locations the probes below actually price.
+  const auto live_workload = [&] {
+    return live.empty() ? random_workload()
+                        : live[static_cast<std::size_t>(rng.UniformInt(
+                                   0, static_cast<std::int64_t>(live.size()) - 1))]
+                              .workload;
+  };
+
   for (int round = 0; round < 60; ++round) {
     // Random delta: arrivals (possibly multi-task), completions, and new
     // throughput observations.
     const int arrivals = static_cast<int>(rng.UniformInt(0, 2));
     for (int a = 0; a < arrivals; ++a) {
-      const WorkloadId workload =
-          static_cast<WorkloadId>(rng.UniformInt(0, WorkloadRegistry::NumWorkloads() - 1));
+      const WorkloadId workload = random_workload();
       const WorkloadSpec& spec = WorkloadRegistry::Get(workload);
       const int num_tasks = rng.Bernoulli(0.3) ? 2 : 1;
       const JobId job = next_job_id++;
@@ -248,12 +291,26 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
     }
     const int observations = static_cast<int>(rng.UniformInt(0, 3));
     for (int o = 0; o < observations; ++o) {
-      const WorkloadId w =
-          static_cast<WorkloadId>(rng.UniformInt(0, WorkloadRegistry::NumWorkloads() - 1));
-      const WorkloadId p =
-          static_cast<WorkloadId>(rng.UniformInt(0, WorkloadRegistry::NumWorkloads() - 1));
+      const WorkloadId w = random_workload();
+      const WorkloadId p = random_workload();
       table.Record(w, {p}, rng.Uniform(0.5, 1.0));
     }
+    // Exact multiset observations: multi-partner entries are invalidated
+    // only through the observed workload's row version.
+    const int exact_observations = static_cast<int>(rng.UniformInt(1, 2));
+    for (int o = 0; o < exact_observations; ++o) {
+      const WorkloadId w = live_workload();
+      std::vector<WorkloadId> partners = {live_workload(), live_workload()};
+      if (rng.Bernoulli(0.5)) {
+        partners.push_back(live_workload());
+      }
+      table.Record(w, partners, rng.Uniform(0.5, 1.0));
+    }
+    std::vector<InstanceType> stepped = catalogs.back().types();
+    for (InstanceType& type : stepped) {
+      type.cost_per_hour *= rng.Uniform(0.5, 1.5);
+    }
+    catalogs.emplace_back(std::move(stepped));
 
     rebuild_context();
     memoized.Rebind(context);
@@ -282,15 +339,104 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
       std::vector<const TaskInfo*> partners(set.begin() + 1, set.end());
       ASSERT_EQ(memoized.TaskTnrp(*set.front(), partners, family),
                 fresh.TaskTnrp(*set.front(), partners, family));
-      if (set.size() >= 2) {
-        std::vector<const TaskInfo*> members(set.begin(), set.end() - 1);
-        ASSERT_EQ(memoized.SetTnrpPlusOne(members, *set.back(), family),
-                  fresh.SetTnrp(set, family));
+    }
+    // Sets of 3-5 distinct members against the hand fold.
+    if (context.tasks.size() < 3) {
+      continue;
+    }
+    std::vector<const TaskInfo*> shuffled;
+    for (const TaskInfo& task : context.tasks) {
+      shuffled.push_back(&task);
+    }
+    for (int probe = 0; probe < 4; ++probe) {
+      for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+        std::swap(shuffled[i], shuffled[static_cast<std::size_t>(
+                                   rng.UniformInt(0, static_cast<std::int64_t>(i)))]);
       }
+      const auto size = static_cast<std::size_t>(
+          rng.UniformInt(3, std::min<std::int64_t>(5, static_cast<std::int64_t>(
+                                                          shuffled.size()))));
+      const std::vector<const TaskInfo*> set(shuffled.begin(),
+                                             shuffled.begin() + static_cast<std::ptrdiff_t>(size));
+      const std::optional<InstanceFamily> family =
+          rng.Bernoulli(0.5) ? std::optional<InstanceFamily>(InstanceFamily::kR7i)
+                             : std::nullopt;
+      ASSERT_EQ(memoized.SetTnrp(set, family),
+                HandFoldSetTnrp(context, fresh, table, set, family))
+          << "round " << round << " probe " << probe;
     }
   }
   // The memoized calculator must actually be memoizing.
-  EXPECT_GT(memoized.cache_stats().tnrp_hits + memoized.cache_stats().set_hits, 0u);
+  EXPECT_GT(memoized.cache_stats().tput_hits, 0u);
+}
+
+// The throughput memo holds no price: a Rebind that changes only the catalog
+// (a spot price step) keeps every entry, while RPs follow the new prices. A
+// different estimator object drops the memo.
+TEST(TnrpMemoizationPropertyTest, CatalogChangeKeepsThroughputMemo) {
+  const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
+  ThroughputTable table(0.95);
+  table.Record(0, {1, 2}, 0.7);
+  table.Record(2, {3}, 0.8);
+  table.Record(3, {2, 4}, 0.6);
+
+  SchedulingContext context;
+  context.catalog = &catalog;
+  context.throughput = &table;
+  for (WorkloadId w = 0; w < 5; ++w) {  // Five tasks, distinct workloads.
+    TaskInfo task;
+    task.id = w;
+    task.job = w;
+    task.workload = w;
+    task.demand_p3 = WorkloadRegistry::Get(w).demand_p3;
+    task.demand_cpu = WorkloadRegistry::Get(w).demand_cpu;
+    context.tasks.push_back(task);
+  }
+  context.Finalize();
+  const auto task = [&context](TaskId id) { return context.FindTask(id); };
+  // Six distinct (workload, ordered partner workloads) keys.
+  const std::vector<std::vector<const TaskInfo*>> probes = {
+      {task(0), task(1), task(2)}, {task(2), task(3), task(4)}};
+
+  TnrpCalculator memoized(context, {});
+  memoized.Rebind(context);  // Long-lived: RPs on the rebound (flat) path.
+  std::vector<Money> before;
+  for (const auto& set : probes) {
+    before.push_back(memoized.SetTnrp(set));
+  }
+  const TnrpCalculator::CacheStats cold = memoized.cache_stats();
+  EXPECT_EQ(cold.tput_misses, 6u);
+  EXPECT_EQ(cold.tput_hits, 0u);
+  const Money old_rp = memoized.ReservationPrice(*task(0));
+
+  // A spot price step: same tasks, a new catalog object at twice the prices.
+  std::vector<InstanceType> doubled = catalog.types();
+  for (InstanceType& type : doubled) {
+    type.cost_per_hour *= 2.0;
+  }
+  const InstanceCatalog stepped(doubled);
+  context.catalog = &stepped;
+  memoized.Rebind(context);
+  const TnrpCalculator fresh(context, {});
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const Money after = memoized.SetTnrp(probes[i]);
+    EXPECT_EQ(after, fresh.SetTnrp(probes[i]));
+    EXPECT_NE(after, before[i]);
+  }
+  const TnrpCalculator::CacheStats warm = memoized.cache_stats();
+  EXPECT_EQ(warm.tput_misses, cold.tput_misses);
+  EXPECT_EQ(warm.tput_hits, cold.tput_hits + 6);
+  EXPECT_EQ(memoized.ReservationPrice(*task(0)), fresh.ReservationPrice(*task(0)));
+  EXPECT_EQ(memoized.ReservationPrice(*task(0)), 2.0 * old_rp);
+
+  // A different estimator object (equal contents) starts the memo over.
+  const ThroughputTable copy = table;
+  memoized.Rebind(context, &copy);
+  for (const auto& set : probes) {
+    memoized.SetTnrp(set);
+  }
+  EXPECT_EQ(memoized.cache_stats().tput_misses, warm.tput_misses + 6);
+  EXPECT_EQ(memoized.cache_stats().tput_hits, warm.tput_hits);
 }
 
 }  // namespace
