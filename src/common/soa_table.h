@@ -32,7 +32,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <utility>
 #include <memory>
@@ -211,20 +210,14 @@ class IdSet {
 // Open-addressing hash map for memo tables: flat slot storage (no per-node
 // allocation — the node-based unordered_map shards it replaces allocated on
 // every insert), linear probing over a power-of-two capacity, no erase
-// (memo entries die by Clear(), which keeps capacity). Lookups may probe
-// with a cheaper key type than the stored one (an interned key whose
-// payload lives in caller-owned storage): `Find`/`Upsert` take any probe
-// the Eq functor can compare against a stored key, plus the precomputed
-// hash. `Hash` re-hashes *stored* keys on growth, so interned keys should
-// embed their hash. Not internally synchronized.
-template <typename K, typename V, typename Hash, typename Eq = std::equal_to<K>>
+// (memo entries die by Clear(), which keeps capacity). Callers pass the
+// key's precomputed hash with every lookup. Not internally synchronized.
+template <typename K, typename V, typename Hash>
 class FlatMemoMap {
  public:
-  explicit FlatMemoMap(Hash hash = Hash(), Eq eq = Eq())
-      : hash_(hash), eq_(eq) {}
+  explicit FlatMemoMap(Hash hash = Hash()) : hash_(hash) {}
 
-  template <typename Probe>
-  V* Find(const Probe& probe, std::size_t hash) {
+  V* Find(const K& key, std::size_t hash) {
     if (used_ == 0) {
       return nullptr;
     }
@@ -234,18 +227,15 @@ class FlatMemoMap {
       if (!slot.used) {
         return nullptr;
       }
-      if (eq_(slot.key, probe)) {
+      if (slot.key == key) {
         return &slot.value;
       }
     }
   }
 
-  // Returns the value slot for `probe`, default-constructing a stored key
-  // via `make_key()` on first insertion (the only time the caller must
-  // materialize/intern the full key — hits and overwrites allocate
-  // nothing).
-  template <typename Probe, typename MakeKey>
-  V& Upsert(const Probe& probe, std::size_t hash, MakeKey&& make_key) {
+  // Returns the value slot for `key` and whether it was just inserted (a
+  // new slot holds a default-constructed value), as try_emplace does.
+  std::pair<V*, bool> Upsert(const K& key, std::size_t hash) {
     if (slots_.empty() || (used_ + 1) * 4 > slots_.size() * 3) {
       Grow();
     }
@@ -253,13 +243,13 @@ class FlatMemoMap {
     for (std::size_t i = MixHash(hash) & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
       if (!slot.used) {
-        slot.key = make_key();
+        slot.key = key;
         slot.used = true;
         ++used_;
-        return slot.value;
+        return {&slot.value, true};
       }
-      if (eq_(slot.key, probe)) {
-        return slot.value;
+      if (slot.key == key) {
+        return {&slot.value, false};
       }
     }
   }
@@ -316,7 +306,6 @@ class FlatMemoMap {
   }
 
   Hash hash_;
-  Eq eq_;
   std::vector<Slot> slots_;
   std::size_t used_ = 0;
 };

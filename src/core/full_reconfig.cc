@@ -20,6 +20,13 @@ struct ArgmaxResult {
   Money tnrp = 0.0;
 };
 
+// One candidate workload's share of a scan (see ScanCandidates).
+struct WorkloadScore {
+  WorkloadId workload = kInvalidWorkloadId;
+  Money prefix = 0.0;  // P(w): the members' terms of SetTnrp(members + c).
+  double tput = 1.0;   // T(w): a w task's throughput factor next to the members.
+};
+
 // Pooled per-round packing scratch, leased via the codebase's one
 // sanctioned thread-local scratch mechanism (see common/arena.h).
 struct PackScratch {
@@ -27,7 +34,8 @@ struct PackScratch {
   std::vector<bool> in_tentative_set;
   std::vector<const TaskInfo*> members;
   std::vector<std::size_t> member_indices;
-  std::vector<const TaskInfo*> joined;  // members + one candidate slot.
+  std::vector<WorkloadScore> scores;     // This scan's distinct workloads.
+  std::vector<const TaskInfo*> partners;  // One member's partners.
 };
 
 // Caller-facing entry points' pool-building scratch.
@@ -35,26 +43,66 @@ struct PoolScratch {
   std::vector<const TaskInfo*> pool;
 };
 
+// P(w) and T(w) for the workload of `candidate`. SetTnrp(members + c) folds
+// each member's TaskTnrp with the other members then c as partners, and
+// then c's own; the throughput factor reads partners only through their
+// workloads, so the members' running sum is the same for every candidate of
+// one workload, and so is the candidate's factor.
+WorkloadScore ScoreWorkload(const TaskInfo& candidate,
+                            const std::vector<const TaskInfo*>& members,
+                            InstanceFamily family, const TnrpCalculator& calculator,
+                            std::vector<const TaskInfo*>& partners) {
+  WorkloadScore score;
+  score.workload = candidate.workload;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    partners.clear();
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      if (j != i) {
+        partners.push_back(members[j]);
+      }
+    }
+    partners.push_back(&candidate);
+    score.prefix += calculator.TaskTnrp(*members[i], partners, family);
+  }
+  if (!members.empty()) {
+    score.tput = calculator.ThroughputFactor(candidate, members);
+  }
+  return score;
+}
+
 // Argmax over the pool: the unassigned, fitting task whose addition
 // maximizes TNRP(members + {task}); earliest index wins exact ties (the `>`
-// below). `joined` is scratch: the members plus a last slot each candidate
-// overwrites.
+// below). Each candidate scores P(w) + own(c) — bit-identical to
+// SetTnrp(members + c), whose fold ends with c — where P(w) and T(w) are
+// computed once per distinct candidate workload w of this scan and own(c)
+// is c's TNRP arithmetic given T(w). The table lives for one scan (the
+// members change between scans) and is searched linearly: a pool holds few
+// workloads.
 ArgmaxResult ScanCandidates(const std::vector<const TaskInfo*>& pool,
                             const std::vector<bool>& assigned,
                             const std::vector<bool>& in_tentative_set,
                             const std::vector<const TaskInfo*>& members,
                             const InstanceType& type, const ResourceVector& used,
-                            const TnrpCalculator& calculator,
-                            std::vector<const TaskInfo*>& joined) {
-  joined.assign(members.begin(), members.end());
-  joined.push_back(nullptr);
+                            const TnrpCalculator& calculator, PackScratch& scratch) {
+  std::vector<WorkloadScore>& scores = scratch.scores;
+  scores.clear();
+  const bool alone = members.empty();
   ArgmaxResult best;
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (assigned[i] || in_tentative_set[i] || !Fits(*pool[i], type, used)) {
       continue;
     }
-    joined.back() = pool[i];
-    const Money tnrp = calculator.SetTnrp(joined, type.family);
+    const TaskInfo& candidate = *pool[i];
+    auto score = std::find_if(scores.begin(), scores.end(), [&](const WorkloadScore& s) {
+      return s.workload == candidate.workload;
+    });
+    if (score == scores.end()) {
+      scores.push_back(
+          ScoreWorkload(candidate, members, type.family, calculator, scratch.partners));
+      score = scores.end() - 1;
+    }
+    const Money tnrp =
+        score->prefix + calculator.TnrpFromFactor(candidate, score->tput, alone, type.family);
     if (best.candidate < 0 || tnrp > best.tnrp) {
       best.candidate = static_cast<int>(i);
       best.tnrp = tnrp;
@@ -106,7 +154,7 @@ void PackByReservationPriceInto(const SchedulingContext& context,
       while (true) {
         // Pick the unassigned, fitting task that maximizes TNRP(T + {tau}).
         const ArgmaxResult best = ScanCandidates(pool, assigned, in_tentative_set, members,
-                                                 type, used, calculator, scratch->joined);
+                                                 type, used, calculator, *scratch);
         const int best_candidate = best.candidate;
         const Money best_candidate_tnrp = best.tnrp;
         if (best_candidate < 0) {

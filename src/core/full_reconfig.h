@@ -8,6 +8,14 @@
 // interference or multi-task straggler penalties). The instance is kept only
 // if the set's TNRP covers the instance's hourly cost; otherwise the
 // algorithm moves on to the next cheaper type.
+//
+// The argmax prices once per distinct candidate workload, not once per
+// candidate: with the members fixed, TNRP(T + {c}) is the members' share
+// (which reads c only through its workload) plus c's own TNRP given its
+// workload's throughput factor next to T. Both are computed once per
+// workload per scan and summed in SetTnrp's fold order, so every score,
+// tie-break and configuration equals the every-candidate evaluation bit
+// for bit.
 
 #ifndef SRC_CORE_FULL_RECONFIG_H_
 #define SRC_CORE_FULL_RECONFIG_H_

@@ -135,10 +135,10 @@ Money TnrpCalculator::ReservationPrice(const TaskInfo& task) const {
   return RpEntryFor(task).rp;
 }
 
-double TnrpCalculator::Throughput(const TaskInfo& task,
-                                  const std::vector<const TaskInfo*>& partners) const {
+double TnrpCalculator::ThroughputFactor(const TaskInfo& task,
+                                        const std::vector<const TaskInfo*>& partners) const {
   const ThroughputEstimator* throughput = estimator();
-  if (throughput == nullptr) {
+  if (!options_.interference_aware || throughput == nullptr) {
     return 1.0;
   }
   const auto estimate = [&] {
@@ -165,11 +165,8 @@ double TnrpCalculator::Throughput(const TaskInfo& task,
     return estimate();
   }
   const std::uint64_t row_version = throughput->RowVersion(task.workload);
-  bool inserted = false;
-  TputEntry& entry = tput_memo_.Upsert(key, TputKeyHash()(key), [&] {
-    inserted = true;
-    return key;
-  });
+  const auto [slot, inserted] = tput_memo_.Upsert(key, TputKeyHash()(key));
+  TputEntry& entry = *slot;
   if (!inserted && entry.row_version == row_version) {
     ++cache_stats_.tput_hits;
     return entry.tput;
@@ -182,13 +179,18 @@ double TnrpCalculator::Throughput(const TaskInfo& task,
 Money TnrpCalculator::TaskTnrp(const TaskInfo& task,
                                const std::vector<const TaskInfo*>& partners,
                                std::optional<InstanceFamily> family) const {
+  const bool alone = partners.empty();
+  return TnrpFromFactor(task, alone ? 1.0 : ThroughputFactor(task, partners), alone, family);
+}
+
+Money TnrpCalculator::TnrpFromFactor(const TaskInfo& task, double tput, bool alone,
+                                     std::optional<InstanceFamily> family) const {
   const double speedup = family.has_value() ? task.SpeedupOn(*family) : 1.0;
   const RpEntry entry = RpEntryFor(task);
   const Money rp = entry.rp * speedup;
-  if (!options_.interference_aware || partners.empty()) {
+  if (!options_.interference_aware || alone) {
     return rp;
   }
-  const double tput = Throughput(task, partners);
   if (!options_.multi_task_aware || entry.job_size <= 1) {
     return tput * rp;
   }

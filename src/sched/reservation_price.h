@@ -21,9 +21,13 @@
 //     valid, and tasks of one workload share its entries.
 // TNRP itself is recomputed from these two on every call with the same
 // arithmetic an unmemoized evaluation performs, so the memos change speed,
-// never results. A calculator is not thread-safe: one decision prices on one
-// thread. Rebind() points a long-lived calculator at the next round's
-// context while keeping the memos.
+// never results. That arithmetic lives in one place, TnrpFromFactor, and
+// the memoized factor is exposed as ThroughputFactor, so a caller that
+// prices many tasks of one workload against one partner set (Algorithm 1's
+// argmax) probes the factor once and applies the formula per task. A
+// calculator is not thread-safe: one decision prices on one thread.
+// Rebind() points a long-lived calculator at the next round's context while
+// keeping the memos.
 
 #ifndef SRC_SCHED_RESERVATION_PRICE_H_
 #define SRC_SCHED_RESERVATION_PRICE_H_
@@ -86,8 +90,25 @@ class TnrpCalculator {
   // same hypothetical instance, excluding the task itself). May be negative
   // for multi-task jobs under severe interference. When `family` is given,
   // the task's relative speed on that family scales its value (§4.2).
+  // Equals TnrpFromFactor(task, ThroughputFactor(task, partners),
+  // partners.empty(), family), without the probe when `partners` is empty.
   Money TaskTnrp(const TaskInfo& task, const std::vector<const TaskInfo*>& partners,
                  std::optional<InstanceFamily> family = std::nullopt) const;
+
+  // Estimated normalized throughput of `task` next to `partners`, memoized
+  // per (task workload, ordered partner workloads): it reads the task and
+  // its partners only through their workloads. 1.0 when interference_aware
+  // is off.
+  double ThroughputFactor(const TaskInfo& task,
+                          const std::vector<const TaskInfo*>& partners) const;
+
+  // The TNRP arithmetic of one task given its throughput factor `tput`:
+  // RP scaled by the speed on `family`; exactly that when `alone` (no
+  // partners) or interference is ignored; otherwise scaled by `tput`, with
+  // §4.4's job-level charge for multi-task jobs. The only copy of the
+  // formula: TaskTnrp and Algorithm 1's per-workload scan both call it.
+  Money TnrpFromFactor(const TaskInfo& task, double tput, bool alone,
+                       std::optional<InstanceFamily> family = std::nullopt) const;
 
   // TNRP of a set of tasks placed together: the sum, folded in member
   // order, of each member's TaskTnrp with the other members (in caller
@@ -145,9 +166,6 @@ class TnrpCalculator {
 
   RpEntry RpEntryFor(const TaskInfo& task) const;
   Money ComputeReservationPrice(const TaskInfo& task) const;
-  // Estimated throughput of `task` next to `partners` (memoized).
-  double Throughput(const TaskInfo& task,
-                    const std::vector<const TaskInfo*>& partners) const;
 
   // Grows the flat RP cache to cover the bound context's task ids (called
   // from Rebind, between rounds).

@@ -243,13 +243,23 @@ class Simulator::Impl {
   // clock and remaining-runtime estimates) to the previous round's, and the
   // previous configuration was applied without touching the cluster. Such a
   // round may be offered to Scheduler::CoalesceQuiescentRounds. Spot quotes
-  // drift between rounds, so no round is quiescent while the market is on;
-  // fault injection is likewise disqualifying (a fault can rip capacity out
-  // between two otherwise-identical rounds).
+  // hold for a whole price step, so a spot round qualifies only while it
+  // would price off the same quote snapshot as the previous round (spot
+  // warnings and preemptions leave a pending delta, so they disqualify it
+  // anyway). Fault injection is disqualifying: a fault can rip capacity out
+  // between two otherwise-identical rounds.
   bool RoundIsQuiescent() const {
     return options_.coalesce_quiescent_rounds && !options_.physical_mode &&
-           !SpotActive() && !FaultsActive() && last_apply_noop_ &&
-           !rates_dirty_since_round_ && !state_.HasPendingDelta();
+           !FaultsActive() && last_apply_noop_ && !rates_dirty_since_round_ &&
+           !state_.HasPendingDelta() && SameQuoteStep();
+  }
+
+  // True unless spot is on and this round's quote snapshot is not the one
+  // the previous round priced off. SharedQuoteCatalog hands out one object
+  // per price step, so identity means bit-identical prices.
+  bool SameQuoteStep() const {
+    return !SpotActive() ||
+           provider_->SharedQuoteCatalog(now_, options_.spot_risk_premium) == quote_catalog_;
   }
 
   const Trace& trace_;

@@ -66,8 +66,9 @@ struct SimulatorOptions {
   // results are bit-identical with batching on or off — only the per-round
   // observation/context/validation/diff work disappears. Automatically
   // disabled in physical mode (noisy observations consume RNG draws every
-  // round, so no round is ever a provable no-op) and when the spot market
-  // is active (quotes drift between rounds, so no round is quiescent).
+  // round, so no round is ever a provable no-op). With the spot market on,
+  // a round qualifies only while it prices off the same per-step quote
+  // snapshot as the previous round.
   bool coalesce_quiescent_rounds = true;
 
   // --- Cloud provider market (default off: infinite on-demand supply) ----

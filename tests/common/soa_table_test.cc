@@ -139,7 +139,7 @@ TEST(FlatMemoMapTest, MatchesUnorderedMapUnderRandomChurn) {
       }
     } else {
       const int value = static_cast<int>(rng.UniformInt(-1000, 1000));
-      map.Upsert(key, hash, [&] { return key; }) = value;
+      *map.Upsert(key, hash).first = value;
       reference[key] = value;
       ASSERT_EQ(map.size(), reference.size());
     }
@@ -150,71 +150,63 @@ TEST(FlatMemoMapTest, MatchesUnorderedMapUnderRandomChurn) {
   }
 }
 
-// The heterogeneous-probe contract: stored keys intern their payload in
-// caller-owned storage, probes carry the expensive form, and the Eq functor
-// bridges the two. The stored key must be materialized exactly once per
-// distinct probe.
-TEST(FlatMemoMapTest, HeterogeneousProbeInternsKeyOncePerEntry) {
-  struct Stored {
+// Upsert's insertion flag is what memo callers key their miss path on: it
+// reads true exactly once per distinct key, keys that share a hash stay
+// distinct entries, and entries survive growth (stored keys are re-hashed)
+// and vanish on Clear.
+TEST(FlatMemoMapTest, UpsertReportsFirstInsertionAndSurvivesGrowth) {
+  struct Key {
     std::size_t hash = 0;
-    std::size_t offset = 0;
-    std::size_t count = 0;
-  };
-  struct Probe {
-    std::size_t hash = 0;
-    std::vector<int> members;
-  };
-  struct StoredHash {
-    std::size_t operator()(const Stored& key) const { return key.hash; }
-  };
-  struct StoredEq {
-    const std::vector<int>* blob;
-    bool operator()(const Stored& stored, const Probe& probe) const {
-      return stored.hash == probe.hash && stored.count == probe.members.size() &&
-             std::equal(probe.members.begin(), probe.members.end(),
-                        blob->begin() + static_cast<std::ptrdiff_t>(stored.offset));
+    int payload = 0;
+    bool operator==(const Key& other) const {
+      return hash == other.hash && payload == other.payload;
     }
   };
-  std::vector<int> blob;
-  FlatMemoMap<Stored, int, StoredHash, StoredEq> map{StoredHash{}, StoredEq{&blob}};
-
-  int interned = 0;
-  auto upsert = [&](const Probe& probe, int value) {
-    map.Upsert(probe, probe.hash, [&] {
-      ++interned;
-      Stored stored;
-      stored.hash = probe.hash;
-      stored.offset = blob.size();
-      stored.count = probe.members.size();
-      blob.insert(blob.end(), probe.members.begin(), probe.members.end());
-      return stored;
-    }) = value;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const { return key.hash; }
+  };
+  FlatMemoMap<Key, int, KeyHash> map;
+  int inserted = 0;
+  auto upsert = [&](const Key& key, int value) {
+    const auto [slot, fresh] = map.Upsert(key, key.hash);
+    if (fresh) {
+      EXPECT_EQ(*slot, 0) << "a new slot holds a default value";
+      ++inserted;
+    }
+    *slot = value;
   };
 
-  // Two distinct probes sharing a hash (worst case) stay distinct entries.
-  const Probe a{17, {1, 2, 3}};
-  const Probe b{17, {1, 2, 4}};
+  // Two distinct keys sharing a hash (worst case) stay distinct entries.
+  const Key a{17, 3};
+  const Key b{17, 4};
   upsert(a, 100);
   upsert(b, 200);
-  EXPECT_EQ(interned, 2);
+  EXPECT_EQ(inserted, 2);
   EXPECT_EQ(map.size(), 2u);
 
-  // Overwriting through an equal probe reuses the interned key.
+  // Overwriting an existing key inserts nothing.
   upsert(a, 101);
-  EXPECT_EQ(interned, 2);
+  EXPECT_EQ(inserted, 2);
   ASSERT_NE(map.Find(a, a.hash), nullptr);
   EXPECT_EQ(*map.Find(a, a.hash), 101);
   ASSERT_NE(map.Find(b, b.hash), nullptr);
   EXPECT_EQ(*map.Find(b, b.hash), 200);
+  EXPECT_EQ(map.Find(Key{17, 5}, 17), nullptr);
 
-  // Force growth past the initial capacity; interned entries must survive
-  // the re-insertion (Hash::operator() over stored keys).
+  // Force growth past the initial capacity.
   for (int i = 0; i < 200; ++i) {
-    upsert(Probe{static_cast<std::size_t>(1000 + i), {i}}, i);
+    upsert(Key{static_cast<std::size_t>(1000 + i), i}, i);
   }
+  EXPECT_EQ(inserted, 202);
   EXPECT_EQ(*map.Find(a, a.hash), 101);
   EXPECT_EQ(*map.Find(b, b.hash), 200);
   EXPECT_EQ(map.size(), 202u);
+
+  map.Clear();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.Find(a, a.hash), nullptr);
+  upsert(a, 7);
+  EXPECT_EQ(inserted, 203);
 }
 
 TEST(PagedTableTest, EmplaceFindEraseIterate) {

@@ -7,11 +7,14 @@
 // tenant's federated run matches the same tenant simulated alone — the
 // loop couples tenants only through finite-pool contention. The scenario
 // tests additionally pin the market behaviors (denials under exhausted
-// pools, spot preemptions) actually engaging.
+// pools, spot preemptions) actually engaging, and the spot coalescing tests
+// pin that coalescing rounds within a price step changes nothing.
 
 #include "src/sim/federation.h"
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "src/obs/flight_recorder.h"
 #include "src/workload/trace_gen.h"
@@ -69,6 +72,8 @@ void ExpectBitIdentical(const SimulationMetrics& a, const SimulationMetrics& b) 
   EXPECT_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.scheduling_rounds, b.scheduling_rounds);
   EXPECT_EQ(a.events_processed, b.events_processed);
+  EXPECT_EQ(a.events_by_type, b.events_by_type);
+  EXPECT_EQ(a.events_noop, b.events_noop);
   ASSERT_EQ(a.jct_hours.size(), b.jct_hours.size());
   for (std::size_t i = 0; i < a.jct_hours.size(); ++i) {
     ASSERT_EQ(a.jct_hours[i], b.jct_hours[i]) << "jct " << i;
@@ -92,6 +97,22 @@ void ExpectBitIdentical(const SimulationMetrics& a, const SimulationMetrics& b) 
   EXPECT_EQ(a.faults.replacement_latency_median_s, b.faults.replacement_latency_median_s);
   EXPECT_EQ(a.faults.replacement_latency_p95_s, b.faults.replacement_latency_p95_s);
   EXPECT_EQ(a.faults.goodput_ratio, b.faults.goodput_ratio);
+  // The decision-path counters the scheduler exports.
+  const SchedulerCounters& ca = a.scheduler_counters;
+  const SchedulerCounters& cb = b.scheduler_counters;
+  EXPECT_EQ(ca.packs_full, cb.packs_full);
+  EXPECT_EQ(ca.packs_incremental, cb.packs_incremental);
+  EXPECT_EQ(ca.packs_escalated, cb.packs_escalated);
+  EXPECT_EQ(ca.reconciliations, cb.reconciliations);
+  EXPECT_EQ(ca.escalations, cb.escalations);
+  EXPECT_EQ(ca.fallback_incomplete_delta, cb.fallback_incomplete_delta);
+  EXPECT_EQ(ca.fallback_oversized_delta, cb.fallback_oversized_delta);
+  EXPECT_EQ(ca.fallback_no_previous, cb.fallback_no_previous);
+  EXPECT_EQ(ca.last_divergence_cost, cb.last_divergence_cost);
+  EXPECT_EQ(ca.max_divergence_cost, cb.max_divergence_cost);
+  EXPECT_EQ(ca.last_divergence_edits, cb.last_divergence_edits);
+  EXPECT_EQ(ca.max_divergence_edits, cb.max_divergence_edits);
+  EXPECT_EQ(ca.max_kept_staleness, cb.max_kept_staleness);
 }
 
 TEST(FederationTest, DeterministicAcrossRuns) {
@@ -437,6 +458,96 @@ TEST(FederationTest, AbortedTenantDoesNotWedgeTheFederation) {
   ASSERT_EQ(result.tenants.size(), 1u);
   EXPECT_EQ(result.tenants[0].metrics.jobs_completed, 0);
   EXPECT_LE(result.tenants[0].metrics.makespan_s, 100.0);
+}
+
+// Spot quotes hold for a whole price step, and SharedQuoteCatalog hands out
+// one snapshot per step, so a spot round that would price off the previous
+// round's snapshot coalesces like any other quiescent round. With the spot
+// tier on, coalescing on and off must give bit-identical runs — alone and
+// federated — while rounds actually coalesce.
+CloudProviderOptions SpotProvider() {
+  CloudProviderOptions provider;
+  provider.enabled = true;
+  provider.spot.enabled = true;
+  provider.spot.price_step_s = 900.0;
+  provider.spot.spike_probability = 0.15;
+  provider.spot.seed = 4242;
+  return provider;
+}
+
+TEST(SpotCoalescingTest, SingleTenantSpotRunIsBitExact) {
+  AlibabaTraceOptions trace_options;
+  trace_options.num_jobs = 400;
+  trace_options.seed = 17;
+  trace_options.max_duration_hours = 48.0;
+  const Trace trace = GenerateAlibabaTrace(trace_options);
+  const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
+  const InterferenceModel interference = InterferenceModel::Measured();
+  const auto run = [&](bool coalesce) {
+    SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference);
+    SimulatorOptions options;
+    options.provider = SpotProvider();
+    options.seed = 5;
+    options.coalesce_quiescent_rounds = coalesce;
+    const SimulationMetrics metrics =
+        RunSimulation(trace, bundle.scheduler.get(), catalog, interference, options);
+    return std::make_pair(metrics, bundle.eva->stats());
+  };
+  const auto [batched, batched_stats] = run(true);
+  const auto [plain, plain_stats] = run(false);
+
+  EXPECT_GT(batched.spot_instances_launched, 0);
+  EXPECT_GT(batched.rounds_coalesced, 0);
+  EXPECT_EQ(batched_stats.rounds_coalesced, batched.rounds_coalesced);
+  EXPECT_EQ(plain.rounds_coalesced, 0);
+
+  ExpectBitIdentical(batched, plain);
+  EXPECT_EQ(batched_stats.rounds, plain_stats.rounds);
+  EXPECT_EQ(batched_stats.full_adopted, plain_stats.full_adopted);
+  EXPECT_EQ(batched_stats.events_seen, plain_stats.events_seen);
+  EXPECT_EQ(batched_stats.rounds_reused, plain_stats.rounds_reused);
+  EXPECT_EQ(batched_stats.reuse_miss_table, plain_stats.reuse_miss_table);
+  EXPECT_EQ(batched_stats.reuse_miss_context, plain_stats.reuse_miss_context);
+  EXPECT_EQ(batched_stats.full_packs, plain_stats.full_packs);
+  EXPECT_EQ(batched_stats.incremental_packs, plain_stats.incremental_packs);
+}
+
+TEST(SpotCoalescingTest, FederatedSpotRunIsBitExact) {
+  const std::vector<FederationTenant> tenants = MakeTenants(30);
+  const auto run = [&](bool coalesce) {
+    FederationOptions options;
+    options.provider = SpotProvider();
+    options.simulator.seed = 5;
+    options.simulator.coalesce_quiescent_rounds = coalesce;
+    options.stagger_rounds = true;
+    return RunFederation(tenants, options);
+  };
+  const FederationResult batched = run(true);
+  const FederationResult plain = run(false);
+
+  ASSERT_EQ(batched.tenants.size(), tenants.size());
+  ASSERT_EQ(plain.tenants.size(), tenants.size());
+  std::int64_t coalesced = 0;
+  std::int64_t spot_launched = 0;
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    coalesced += batched.tenants[i].metrics.rounds_coalesced;
+    spot_launched += batched.tenants[i].metrics.spot_instances_launched;
+    EXPECT_EQ(plain.tenants[i].metrics.rounds_coalesced, 0) << "tenant " << i;
+    ExpectBitIdentical(batched.tenants[i].metrics, plain.tenants[i].metrics);
+  }
+  EXPECT_GT(spot_launched, 0);
+  EXPECT_GT(coalesced, 0);
+  for (std::size_t f = 0; f < static_cast<std::size_t>(kNumInstanceFamilies); ++f) {
+    EXPECT_EQ(batched.provider.families[f].granted, plain.provider.families[f].granted);
+    EXPECT_EQ(batched.provider.families[f].denied, plain.provider.families[f].denied);
+    EXPECT_EQ(batched.provider.families[f].preempted, plain.provider.families[f].preempted);
+    EXPECT_EQ(batched.provider.families[f].released, plain.provider.families[f].released);
+    EXPECT_EQ(batched.provider.families[f].peak_in_use,
+              plain.provider.families[f].peak_in_use);
+    EXPECT_EQ(batched.provider.families[f].instance_hours,
+              plain.provider.families[f].instance_hours);
+  }
+  EXPECT_EQ(batched.horizon_s, plain.horizon_s);
 }
 
 }  // namespace
